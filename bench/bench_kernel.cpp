@@ -259,18 +259,39 @@ void BM_ExchangeFlood(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeFlood)->Arg(1000)->Arg(4000);
 
-void BM_TruncatedStep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  const Graph g = gen::random_regular(n, 6, rng);
+// One truncated_step from an 8-step pre-spread walk, so the step works on a
+// realistic support; items are the support's volume (the step's messages).
+void truncated_step_bench(benchmark::State& state, const Graph& g) {
   auto dist = spectral::SparseDist::point(0);
-  // Pre-spread so the step works on a realistic support.
   for (int t = 0; t < 8; ++t) dist = spectral::truncated_step(g, dist, 1e-7);
+  std::uint64_t volume = 0;
+  for (const VertexId v : dist.support) volume += g.degree(v);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spectral::truncated_step(g, dist, 1e-7));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(volume));
+  state.counters["support"] = static_cast<double>(dist.size());
+}
+
+void BM_TruncatedStep(benchmark::State& state) {
+  Rng rng(2);
+  truncated_step_bench(
+      state,
+      gen::random_regular(static_cast<std::size_t>(state.range(0)), 6, rng));
 }
 BENCHMARK(BM_TruncatedStep)->Arg(1000)->Arg(4000);
+
+// Dense support: on preferential attachment the pre-spread walk covers
+// nearly every vertex through the hubs -- the regime the build-powerlaw
+// workload's Nibble walks run in.
+void BM_TruncatedStepDense(benchmark::State& state) {
+  Rng rng(2);
+  truncated_step_bench(
+      state, gen::preferential_attachment(
+                 static_cast<std::size_t>(state.range(0)), 10, rng));
+}
+BENCHMARK(BM_TruncatedStepDense)->Arg(20000);
 
 void BM_BfsForest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

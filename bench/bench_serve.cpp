@@ -66,43 +66,72 @@ xd::Graph multi_cluster_graph(std::size_t scale, xd::Rng& rng) {
   return b.build();
 }
 
-/// Deterministic mixed query stream; route endpoints stay within one block
-/// so most routes resolve.
-std::vector<xd::serve::Query> mixed_stream(std::size_t n, std::size_t count,
-                                           std::uint64_t seed) {
-  using xd::serve::Query;
-  using xd::serve::QueryKind;
-  const std::size_t cn = std::min<std::size_t>(250, n);
-  xd::Rng rng(seed);
-  std::vector<Query> stream;
-  stream.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Query q;
-    const std::uint64_t pick = rng.next_below(10);
+/// Deterministic mixed query source.  Route endpoints are drawn from one
+/// decomposition component: on a connected graph the decomposition may cut
+/// anywhere, so a fixed block layout would send routes across components.
+class QuerySource {
+ public:
+  QuerySource(const xd::serve::PreparedArtifact& art, std::uint64_t seed)
+      : art_(&art), rng_(seed), offsets_(art.num_components + 1, 0) {
+    // Members bucketed by component (counting sort over the labels).
+    const std::size_t n = art.graph.num_vertices();
+    for (std::size_t v = 0; v < n; ++v) ++offsets_[art.component[v] + 1];
+    for (std::uint32_t c = 0; c < art.num_components; ++c) {
+      offsets_[c + 1] += offsets_[c];
+    }
+    members_.resize(n);
+    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (std::size_t v = 0; v < n; ++v) {
+      members_[cursor[art.component[v]]++] = static_cast<xd::VertexId>(v);
+    }
+  }
+
+  xd::serve::Query next() {
+    using xd::serve::QueryKind;
+    const std::size_t n = art_->graph.num_vertices();
+    xd::serve::Query q;
+    const std::uint64_t pick = rng_.next_below(10);
     if (pick < 3) {
       q.kind = QueryKind::kRoute;
-      const std::size_t block = rng.next_below(n / cn) * cn;
-      q.a = static_cast<xd::VertexId>(block + rng.next_below(cn));
-      q.b = static_cast<xd::VertexId>(block + rng.next_below(cn));
+      q.a = static_cast<xd::VertexId>(rng_.next_below(n));
+      const std::uint32_t c = art_->component_of(q.a);
+      q.b = members_[offsets_[c] +
+                     rng_.next_below(offsets_[c + 1] - offsets_[c])];
     } else if (pick < 6) {
       q.kind = QueryKind::kTrianglesOf;
-      q.a = static_cast<xd::VertexId>(rng.next_below(n));
+      q.a = static_cast<xd::VertexId>(rng_.next_below(n));
     } else if (pick < 7) {
       q.kind = QueryKind::kTriangleMembership;
-      q.a = static_cast<xd::VertexId>(rng.next_below(n));
-      q.b = static_cast<xd::VertexId>(rng.next_below(n));
-      q.c = static_cast<xd::VertexId>(rng.next_below(n));
+      q.a = static_cast<xd::VertexId>(rng_.next_below(n));
+      q.b = static_cast<xd::VertexId>(rng_.next_below(n));
+      q.c = static_cast<xd::VertexId>(rng_.next_below(n));
     } else if (pick < 8) {
       q.kind = QueryKind::kTriangleCount;
     } else if (pick < 9) {
       q.kind = QueryKind::kConductance;
-      q.a = static_cast<xd::VertexId>(rng.next_below(16));
+      q.a = static_cast<xd::VertexId>(rng_.next_below(
+          std::min<std::uint32_t>(16, art_->num_components)));
     } else {
       q.kind = QueryKind::kComponentOf;
-      q.a = static_cast<xd::VertexId>(rng.next_below(n));
+      q.a = static_cast<xd::VertexId>(rng_.next_below(n));
     }
-    stream.push_back(q);
+    return q;
   }
+
+ private:
+  const xd::serve::PreparedArtifact* art_;
+  xd::Rng rng_;
+  std::vector<std::size_t> offsets_;  ///< component -> first member slot
+  std::vector<xd::VertexId> members_;
+};
+
+std::vector<xd::serve::Query> mixed_stream(
+    const xd::serve::PreparedArtifact& art, std::size_t count,
+    std::uint64_t seed) {
+  QuerySource source(art, seed);
+  std::vector<xd::serve::Query> stream;
+  stream.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) stream.push_back(source.next());
   return stream;
 }
 
@@ -193,11 +222,12 @@ E8b closed_loop(const xd::serve::PreparedArtifact& art, std::size_t clients,
   prm.max_batch = 256;
   xd::serve::QueryService svc(art, prm);
 
-  const std::size_t n = art.graph.num_vertices();
   const std::uint64_t target = std::max<std::uint64_t>(2000, clients * 2);
-  // One query template per client, regenerated round-robin from one
-  // deterministic stream.
-  const auto queries = mixed_stream(n, clients, 0xE8B);
+  // Every client's next query is a fresh draw from one seeded source, made
+  // when its previous answer arrives (a rejected query is resubmitted).
+  QuerySource source(art, 0xE8B);
+  std::vector<Query> next_query(clients);
+  for (auto& q : next_query) q = source.next();
   std::vector<char> outstanding(clients, 0);
   std::vector<Clock::time_point> submit_at;
   submit_at.reserve(target + clients);
@@ -213,7 +243,7 @@ E8b closed_loop(const xd::serve::PreparedArtifact& art, std::size_t clients,
     for (std::size_t c = 0; c < clients && !full; ++c) {
       if (outstanding[c]) continue;
       const auto now = Clock::now();
-      if (svc.submit(static_cast<std::uint32_t>(c), queries[c])) {
+      if (svc.submit(static_cast<std::uint32_t>(c), next_query[c])) {
         outstanding[c] = 1;
         submit_at.push_back(now);  // ticket order == admission order
       } else {
@@ -224,6 +254,7 @@ E8b closed_loop(const xd::serve::PreparedArtifact& art, std::size_t clients,
     const auto done = Clock::now();
     for (const auto& r : batch) {
       outstanding[r.client] = 0;
+      next_query[r.client] = source.next();
       latencies_us.push_back(
           std::chrono::duration<double, std::micro>(
               done - submit_at[static_cast<std::size_t>(r.ticket)])
@@ -406,7 +437,7 @@ int main(int argc, char** argv) {
   a.enum_rounds = art.enum_rounds;
   a.triangles = art.triangle_count();
 
-  const auto stream = mixed_stream(g.num_vertices(), queries, 0xE8A);
+  const auto stream = mixed_stream(art, queries, 0xE8A);
   const auto ts = Clock::now();
   const auto once_results = serve_stream(art, threads, stream);
   a.serve_ms = ms_since(ts);

@@ -242,6 +242,17 @@ if large_flat and large_sharded:
         "shared_items_per_second_median": large_flat,
         "speedup_vs_shared": large_sharded / large_flat}
 summary["sharded"] = sharded
+
+# One Nibble-walk step (BM_TruncatedStep*): median wall ns per case.  The
+# BM_TruncatedStepDense row is the dense-support regime of preferential
+# attachment, where the build-powerlaw workload's walks run.
+steps = {}
+for b in rows:
+    if b["name"].startswith("BM_TruncatedStep") and "real_time" in b:
+        steps.setdefault(b["name"], []).append(b["real_time"])
+if steps:
+    summary["truncated_step_ns_median"] = {
+        k: statistics.median(v) for k, v in sorted(steps.items())}
 json.dump(summary, open(sys.argv[2], "w"), indent=2)
 print(json.dumps(summary, indent=2))
 PY

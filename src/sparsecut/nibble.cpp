@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "graph/graph_view.hpp"
 #include "spectral/lazy_walk.hpp"
+#include "util/bitset_arena.hpp"
 #include "util/check.hpp"
 
 namespace xd::sparsecut {
@@ -34,57 +34,82 @@ struct SupportSweep {
   }
 };
 
+/// One sweep record: ρ̃ and id packed side by side, so the sweep order is
+/// a direct sort of the records rather than an indirect index sort.
+struct SweepRecord {
+  double rho;
+  VertexId id;
+};
+
+/// Per-thread Nibble buffers, reused across steps and runs (O(n) bits plus
+/// O(max support) records per thread).  run_nibble is not reentrant, so
+/// one instance per thread suffices.
+struct NibbleScratch {
+  util::StampedBitset touched;    ///< vertices that ever carried mass
+  util::StampedBitset in_prefix;  ///< the current sweep prefix
+  std::vector<SweepRecord> records;
+  SupportSweep sweep;
+  std::vector<std::size_t> candidates;
+};
+
+NibbleScratch& nibble_scratch() {
+  thread_local NibbleScratch scratch;
+  return scratch;
+}
+
+/// Fills scratch.sweep with the sweep of `dist` (ρ̃ descending, ties by id
+/// ascending).
 template <GraphAccess G>
-SupportSweep build_sweep(const G& g, const SparseDist& dist) {
-  SupportSweep s;
+void build_sweep(const G& g, const SparseDist& dist, NibbleScratch& scratch) {
+  SupportSweep& s = scratch.sweep;
+  std::vector<SweepRecord>& records = scratch.records;
   const std::size_t k = dist.size();
-  std::vector<std::size_t> idx(k);
-  for (std::size_t i = 0; i < k; ++i) idx[i] = i;
-  std::vector<double> rho(k);
+  records.clear();
   for (std::size_t i = 0; i < k; ++i) {
-    rho[i] = dist.mass[i] / g.degree(dist.support[i]);
+    records.push_back(SweepRecord{dist.mass[i] / g.degree(dist.support[i]),
+                                  dist.support[i]});
   }
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    if (rho[a] != rho[b]) return rho[a] > rho[b];
-    return dist.support[a] < dist.support[b];
-  });
+  std::sort(records.begin(), records.end(),
+            [](const SweepRecord& a, const SweepRecord& b) {
+              if (a.rho != b.rho) return a.rho > b.rho;
+              return a.id < b.id;
+            });
 
   s.order.resize(k);
   s.rho.resize(k);
   s.vol.resize(k);
   s.cut.resize(k);
-  std::unordered_set<VertexId> in_prefix;
-  in_prefix.reserve(k * 2);
+  util::StampedBitset& in_prefix = scratch.in_prefix;
+  in_prefix.begin_epoch(g.num_vertices());
   std::uint64_t vol = 0;
   std::int64_t cut = 0;
   for (std::size_t j = 0; j < k; ++j) {
-    const VertexId v = dist.support[idx[j]];
+    const VertexId v = records[j].id;
     s.order[j] = v;
-    s.rho[j] = rho[idx[j]];
+    s.rho[j] = records[j].rho;
     vol += g.degree(v);
     std::int64_t nonloop = 0;
     std::int64_t inside = 0;
     for (VertexId u : g.neighbors(v)) {
       if (u == v) continue;
       ++nonloop;
-      if (in_prefix.count(u)) ++inside;
+      if (in_prefix.test(u)) ++inside;
     }
     cut += nonloop - 2 * inside;
     XD_CHECK(cut >= 0);
-    in_prefix.insert(v);
+    in_prefix.set(v);
     s.vol[j] = vol;
     s.cut[j] = static_cast<std::uint64_t>(cut);
   }
-  return s;
 }
 
 /// The geometric candidate sequence (j_x) of ApproximateNibble: j_1 = 1 and
 /// j_i = max(j_{i-1}+1, largest j with Vol(1..j) <= (1+φ) Vol(1..j_{i-1})).
-std::vector<std::size_t> candidate_sequence(const SupportSweep& sweep,
-                                            double phi) {
-  std::vector<std::size_t> js;
+void candidate_sequence(const SupportSweep& sweep, double phi,
+                        std::vector<std::size_t>& js) {
+  js.clear();
   const std::size_t jmax = sweep.size();
-  if (jmax == 0) return js;
+  if (jmax == 0) return;
   js.push_back(1);
   while (js.back() != jmax) {
     const std::size_t prev = js.back();
@@ -97,7 +122,6 @@ std::vector<std::size_t> candidate_sequence(const SupportSweep& sweep,
     const auto by_volume = static_cast<std::size_t>(it - sweep.vol.begin());
     js.push_back(std::max(prev + 1, by_volume));
   }
-  return js;
 }
 
 struct Conditions {
@@ -180,10 +204,16 @@ NibbleResult run_nibble(const G& g, VertexId v, const NibbleParams& prm,
   const double eps = prm.eps_b(b);
   const std::uint64_t total_volume = g.volume();
 
+  NibbleScratch& scratch = nibble_scratch();
   NibbleResult result;
-  std::unordered_set<VertexId> touched;
+  const auto touch = [&](VertexId u) {
+    if (scratch.touched.test(u)) return;
+    scratch.touched.set(u);
+    result.touched.push_back(u);
+  };
+  scratch.touched.begin_epoch(g.num_vertices());
   SparseDist dist = SparseDist::point(v);
-  touched.insert(v);
+  touch(v);
   int stall_run = 0;
 
   for (int t = 1; t <= prm.t0; ++t) {
@@ -192,11 +222,11 @@ NibbleResult run_nibble(const G& g, VertexId v, const NibbleParams& prm,
       for (VertexId u : dist.support) w += g.degree(u);
       return w;
     }();
-    SparseDist prev = dist;
-    dist = spectral::truncated_step(g, dist, eps);
+    const SparseDist prev = std::move(dist);
+    dist = spectral::truncated_step(g, prev, eps);
     result.steps_run = t;
     if (dist.size() == 0) break;  // all mass truncated away
-    for (VertexId u : dist.support) touched.insert(u);
+    for (VertexId u : dist.support) touch(u);
 
     if (prm.stall_tolerance > 0.0) {
       const auto [moved, total] = stall_movement(prev, dist);
@@ -205,9 +235,11 @@ NibbleResult run_nibble(const G& g, VertexId v, const NibbleParams& prm,
                       : 0;
     }
 
-    const SupportSweep sweep = build_sweep(g, dist);
+    build_sweep(g, dist, scratch);
+    const SupportSweep& sweep = scratch.sweep;
     if (approximate) {
-      const auto js = candidate_sequence(sweep, prm.phi);
+      std::vector<std::size_t>& js = scratch.candidates;
+      candidate_sequence(sweep, prm.phi, js);
       for (std::size_t x = 0; x < js.size(); ++x) {
         const std::size_t jx = js[x];
         ++result.sweep_candidates;
@@ -242,7 +274,6 @@ NibbleResult run_nibble(const G& g, VertexId v, const NibbleParams& prm,
     if (prm.stall_tolerance > 0.0 && stall_run >= prm.stall_patience) break;
   }
 
-  result.touched.assign(touched.begin(), touched.end());
   std::sort(result.touched.begin(), result.touched.end());
   return result;
 }

@@ -1,9 +1,11 @@
 #include "spectral/lazy_walk.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "graph/graph_view.hpp"
 #include "util/check.hpp"
+#include "util/scratch.hpp"
 
 namespace xd::spectral {
 
@@ -52,6 +54,25 @@ SparseDist SparseDist::point(VertexId v) {
   return d;
 }
 
+namespace {
+
+/// Per-thread inflow accumulator of truncated_step, keyed by ambient vertex
+/// id.  The slab is O(n) per thread and retained across steps, so a step
+/// costs O(Vol(support)) plus ordering its receivers -- never O(n) for a
+/// small support.
+struct WalkScratch {
+  util::StampedMap<double> inflow;
+  std::vector<VertexId> receivers;  ///< first-touch order, then ascending
+  std::vector<std::uint32_t> loops;  ///< per support position: loop slots
+};
+
+WalkScratch& walk_scratch() {
+  thread_local WalkScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 template <GraphAccess G>
 SparseDist truncated_step(const G& g, const SparseDist& p, double epsilon) {
   // Order-deterministic: each candidate u sums contributions from its
@@ -59,55 +80,73 @@ SparseDist truncated_step(const G& g, const SparseDist& p, double epsilon) {
   // implementation sums its inbox in the same order, so the two paths agree
   // bit-for-bit (validated by DistributedNibble tests).  Determinism is
   // also what makes a GraphView run reproduce a materialized run exactly:
-  // the renumbering is monotone, so every sort below induces the same
-  // permutation either way.
+  // the renumbering is monotone, so every order below is the same either
+  // way.
   //
-  // Flat plane: one (receiver, sender, share) triple per directed support
-  // edge, sorted by (receiver, sender).  The support is sorted, so each
-  // receiver's group arrives sender-sorted and the summation order matches
-  // the seed's sorted `incoming` exactly (FP-identical); candidate
-  // enumeration is the merge of the support with the grouped receivers --
-  // two pointer walks, no hash lookups.
-  struct Contribution {
-    VertexId to, from;
-    double share;
-  };
-  std::vector<Contribution> inflow;
-  inflow.reserve(p.size() * 4);
+  // Flat plane: senders are visited in ascending support order and each
+  // share is added straight into a stamped dense accumulator, so every
+  // receiver collects its shares in ascending sender order (a multi-edge
+  // adds equal shares back to back) -- the exact FP order of a
+  // (receiver, sender) sort, without sorting the contributions.  The first
+  // share is stored as is, which equals 0.0 + share.  The same pass counts
+  // each sender's loop (and masked) slots.  The receivers are then ordered
+  // as plain ids and merged with the sorted support; the retained lazy and
+  // loop mass is added last.
+  WalkScratch& s = walk_scratch();
+  s.inflow.begin_epoch(g.num_vertices());
+  s.receivers.clear();
+  s.loops.assign(p.size(), 0);
   for (std::size_t i = 0; i < p.size(); ++i) {
     const VertexId v = p.support[i];
     XD_CHECK_MSG(g.degree(v) > 0, "walk mass on an isolated vertex " << v);
     const double share = p.mass[i] / (2.0 * g.degree(v));
     for (VertexId u : g.neighbors(v)) {
-      if (u == v) continue;  // loop and masked slots retain mass below
-      inflow.push_back(Contribution{u, v, share});
+      if (u == v) {  // loop and masked slots retain mass below
+        ++s.loops[i];
+        continue;
+      }
+      if (s.inflow.contains(u)) {
+        s.inflow.at(u) += share;
+      } else {
+        s.inflow.put(u, share);
+        s.receivers.push_back(u);
+      }
     }
   }
-  std::sort(inflow.begin(), inflow.end(),
-            [](const Contribution& a, const Contribution& b) {
-              return a.to != b.to ? a.to < b.to : a.from < b.from;
-            });
+  // The receivers in ascending order.  A frontier covering a sizable share
+  // of the vertex set is enumerated by scanning the stamps in id order,
+  // which is cheaper than sorting it; either way the list is the same.
+  const auto vertices = g.vertices();
+  if (s.receivers.size() * 16 >= std::ranges::size(vertices)) {
+    s.receivers.clear();
+    for (const VertexId u : vertices) {
+      if (s.inflow.contains(u)) s.receivers.push_back(u);
+    }
+  } else {
+    std::sort(s.receivers.begin(), s.receivers.end());
+  }
 
   SparseDist out;
+  const std::vector<VertexId>& recv = s.receivers;
   std::size_t si = 0;  // cursor into the sorted support
-  std::size_t ci = 0;  // cursor into the grouped inflow
-  while (si < p.size() || ci < inflow.size()) {
+  std::size_t ri = 0;  // cursor into the sorted receivers
+  while (si < p.size() || ri < recv.size()) {
     const VertexId u =
-        si < p.size() && (ci == inflow.size() || p.support[si] <= inflow[ci].to)
+        si < p.size() && (ri == recv.size() || p.support[si] <= recv[ri])
             ? p.support[si]
-            : inflow[ci].to;
+            : recv[ri];
     const double deg_u = g.degree(u);
     XD_CHECK_MSG(deg_u > 0, "walk mass on an isolated vertex " << u);
     double m = 0.0;
-    while (ci < inflow.size() && inflow[ci].to == u) {
-      m += inflow[ci].share;
-      ++ci;
+    if (ri < recv.size() && recv[ri] == u) {
+      m = s.inflow.at(u);
+      ++ri;
     }
     if (si < p.size() && p.support[si] == u) {
       // Lazy half plus loop (and masked) slots depositing back.
       const double retained =
           p.mass[si] / 2.0 +
-          static_cast<double>(g.loops_at(u)) * p.mass[si] / (2.0 * deg_u);
+          static_cast<double>(s.loops[si]) * p.mass[si] / (2.0 * deg_u);
       m += retained;
       ++si;
     }

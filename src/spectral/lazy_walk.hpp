@@ -38,8 +38,10 @@ std::vector<double> lazy_walk(const G& g, std::vector<double> p0, int steps);
 struct SparseDist {
   /// Parallel arrays (vertex, mass), ascending by vertex, no duplicates,
   /// mass > 0.  (point() is trivially sorted and truncated_step emits its
-  /// candidates in ascending order, so the invariant is maintained; the
-  /// Nibble stall detector's deterministic merge relies on it.)
+  /// candidates in ascending order, so the invariant is maintained.  Two
+  /// things rely on it: the Nibble stall detector's deterministic merge,
+  /// and truncated_step's FP order -- visiting an ascending support makes
+  /// every receiver sum its shares in ascending sender order.)
   std::vector<VertexId> support;
   std::vector<double> mass;
 

@@ -55,6 +55,7 @@ class StampedMap {
 
   /// Value at a key the caller knows is present this epoch.
   [[nodiscard]] const T& at(std::size_t i) const { return values_[i]; }
+  [[nodiscard]] T& at(std::size_t i) { return values_[i]; }
 
   /// Mutable value at key i, inserting a value-initialized T first if the
   /// key is absent this epoch.  This is what lets cursor-like state (queue

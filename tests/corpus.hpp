@@ -11,7 +11,7 @@
 /// calling make() twice yields bit-identical graphs, which is what lets
 /// golden pins and cross-suite comparisons share fixtures.
 ///
-/// Two surfaces:
+/// Three surfaces:
 ///   * topology(name)     -- the named single graphs the message-plane
 ///     suites have always used (their golden pins depend on these exact
 ///     seeds; do not touch).
@@ -19,6 +19,9 @@
 ///     differential harness sweeps: expanders, dumbbells, grids,
 ///     power-law, SBM, ring-of-cliques, and an XDG1 round-trip fixture
 ///     that routes one entry through the binary loader (graph/io.hpp).
+///   * random_overlay(g, rng, ...) -- a seeded active set plus
+///     removed-edge mask, the GraphView fixture of graph_view_test and
+///     walk_diff_test.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "graph/vertex_set.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -111,6 +115,28 @@ inline std::vector<CorpusEntry> default_corpus() {
     return read_binary_edge_list_file(path).graph;
   });
   return corpus;
+}
+
+/// A random active set plus a random removal overlay (non-loop edges only).
+struct Overlay {
+  VertexSet active;
+  std::vector<char> removed;
+};
+
+inline Overlay random_overlay(const Graph& g, Rng& rng, double keep_vertex,
+                              double remove_edge) {
+  Overlay out;
+  std::vector<VertexId> ids;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (rng.next_bool(keep_vertex)) ids.push_back(v);
+  }
+  if (ids.empty()) ids.push_back(0);
+  out.active = VertexSet(std::move(ids));
+  out.removed.assign(g.num_edges(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!g.is_loop(e) && rng.next_bool(remove_edge)) out.removed[e] = 1;
+  }
+  return out;
 }
 
 }  // namespace xd::corpus

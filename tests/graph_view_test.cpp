@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "core/xd.hpp"
+#include "corpus.hpp"
 #include "util/check.hpp"
 
 namespace xd {
@@ -29,27 +30,8 @@ Graph make_family(const std::string& family, std::size_t n, Rng& rng) {
   return {};
 }
 
-/// A random active set plus a random removal overlay (non-loop edges only).
-struct Overlay {
-  VertexSet active;
-  std::vector<char> removed;
-};
-
-Overlay random_overlay(const Graph& g, Rng& rng, double keep_vertex,
-                       double remove_edge) {
-  Overlay out;
-  std::vector<VertexId> ids;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (rng.next_bool(keep_vertex)) ids.push_back(v);
-  }
-  if (ids.empty()) ids.push_back(0);
-  out.active = VertexSet(std::move(ids));
-  out.removed.assign(g.num_edges(), 0);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!g.is_loop(e) && rng.next_bool(remove_edge)) out.removed[e] = 1;
-  }
-  return out;
-}
+using corpus::Overlay;
+using corpus::random_overlay;
 
 /// Multiset of neighbor reads per vertex, as sorted vectors.
 std::vector<VertexId> neighbor_multiset(const Graph& g, VertexId v) {
