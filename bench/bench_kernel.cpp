@@ -120,7 +120,7 @@ void BM_DeliverFlat(benchmark::State& state) {
   const Graph& g = flood_graph(n);
   congest::RoundLedger ledger;
   congest::Network net(g, ledger, 3);
-  net.set_shards(1);  // shared arena even if XD_SHARDS leaks into the env
+  net.set_shards(1);  // one shard even if XD_SHARDS leaks into the env
   for (auto _ : state) {
     state.PauseTiming();
     stage_flood(g, net);
@@ -132,11 +132,11 @@ void BM_DeliverFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DeliverFlat)->Arg(10000)->Arg(100000)->UseRealTime();
 
-/// The sharded-vs-shared delivery A/B (args: vertices, shards).  Staging
-/// happens outside the timed region like BM_DeliverFlat (the aggregation
-/// buffers fill at send time, which is the point of the plane); the timed
-/// exchange is the S x S buffer exchange plus canonicalize/count/scatter --
-/// the whole sharded delivery.  Acceptance: >= 2x BM_DeliverFlat at 100k
+/// Delivery at S > 1 shards (args: vertices, shards), against
+/// BM_DeliverFlat's S = 1.  Staging happens outside the timed region like
+/// BM_DeliverFlat (the aggregation buffers fill at send time, which is the
+/// point of the plane); the timed exchange is the S x S buffer exchange
+/// plus canonicalize/count/scatter -- the whole sharded delivery.  Acceptance: >= 2x BM_DeliverFlat at 100k
 /// vertices with 8 shards (BENCH_kernel_summary.json), on wall-clock
 /// (UseRealTime -- phase work runs on scheduler workers, so CPU time of the
 /// bench thread is meaningless).  Worker threads are capped at the host's

@@ -64,18 +64,13 @@ struct StagingBuffer {
     from.push_back(f);
     msg.push_back(m);
   }
-  void append(const StagingBuffer& other) {
-    slot.insert(slot.end(), other.slot.begin(), other.slot.end());
-    from.insert(from.end(), other.from.begin(), other.from.end());
-    msg.insert(msg.end(), other.msg.begin(), other.msg.end());
-  }
 };
 
 }  // namespace detail
 
-/// Per-vertex staging handle passed to VertexProgram::on_send.  Writes go to
-/// an executor-owned buffer (one per worker thread), so staging is safe and
-/// allocation-free on the hot path.
+/// Per-vertex staging handle passed to VertexProgram::on_send.  Writes go
+/// straight into the sender shard's aggregation buffers (shard_plane.hpp);
+/// a worker runs whole shards, so staging is safe and lock-free.
 class Outbox {
  public:
   /// Stage a message over adjacency slot `slot` of the current vertex.
@@ -93,14 +88,11 @@ class Outbox {
 
  private:
   friend class Network;
-  Outbox(Network* net, detail::StagingBuffer* buf) : net_(net), buf_(buf) {}
+  Outbox(Network* net, int shard) : net_(net), shard_(shard) {}
 
   Network* net_;
-  detail::StagingBuffer* buf_;
+  int shard_;  ///< sender shard of every vertex this handle stages for
   VertexId vertex_ = 0;
-  /// Sender shard when the executor runs the sharded plane (>= 0): sends
-  /// route straight into that shard's aggregation buffers instead of buf_.
-  int shard_ = -1;
 };
 
 /// One round-synchronous protocol step, run by Network::run_round.

@@ -15,8 +15,7 @@ namespace xd::congest {
 
 namespace {
 
-constexpr std::size_t kWireHeaderBytes = 40;        // v2
-constexpr std::size_t kWireLegacyHeaderBytes = 24;  // v1
+constexpr std::size_t kWireHeaderBytes = 40;
 constexpr std::size_t kWireCrcOffset = 32;
 constexpr std::size_t kWireRecordBytes = 28;
 
@@ -28,6 +27,30 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 int clamp_workers(int workers, int shards) {
   return std::max(1, std::min(workers, shards));
+}
+
+/// Sorts `keys`, whose prefix [0, sorted_prefix) is already ascending.
+/// Protocol traffic is usually almost in order -- a vertex that answers its
+/// parent with send_to after a slot-ascending broadcast displaces one record
+/// by a few places -- so an insertion sort with a move budget finishes in
+/// near-linear time; a batch with more disorder than the budget falls back
+/// to std::sort.
+void sort_nearly_sorted(std::vector<std::uint64_t>& keys,
+                        std::size_t sorted_prefix) {
+  const std::size_t m = keys.size();
+  std::size_t budget = 8 * m;
+  for (std::size_t j = std::max<std::size_t>(sorted_prefix, 1); j < m; ++j) {
+    const std::uint64_t key = keys[j];
+    std::size_t k = j;
+    for (; k > 0 && keys[k - 1] > key && budget > 0; --k, --budget) {
+      keys[k] = keys[k - 1];
+    }
+    keys[k] = key;
+    if (budget == 0) {
+      std::sort(keys.begin(), keys.end());
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -60,9 +83,9 @@ bool decode_impl(std::span<const unsigned char> bytes,
     *err = os.str();
     return false;
   };
-  if (bytes.size() < kWireLegacyHeaderBytes) {
+  if (bytes.size() < kWireHeaderBytes) {
     return fail("shard buffer truncated: ", bytes.size(),
-                " bytes, header needs ", kWireLegacyHeaderBytes);
+                " bytes, header needs ", kWireHeaderBytes);
   }
   const unsigned char* p = bytes.data();
   auto get32 = [&p] {
@@ -82,32 +105,22 @@ bool decode_impl(std::span<const unsigned char> bytes,
     return fail("shard buffer bad magic ", magic);
   }
   const std::uint32_t version = get32();
-  if (version != kShardBufferVersion && version != kShardBufferLegacyVersion) {
+  if (version != kShardBufferVersion) {
     return fail("shard buffer version ", version, " unsupported (want ",
-                kShardBufferVersion, " or ", kShardBufferLegacyVersion, ")");
-  }
-  const std::size_t header_bytes = version == kShardBufferLegacyVersion
-                                       ? kWireLegacyHeaderBytes
-                                       : kWireHeaderBytes;
-  if (bytes.size() < header_bytes) {
-    return fail("shard buffer truncated: ", bytes.size(),
-                " bytes, v", version, " header needs ", header_bytes);
+                kShardBufferVersion, ")");
   }
   *sender_shard = get32();
   *dest_shard = get32();
   const std::uint64_t count = get64();
-  std::uint64_t frame_seq = 0;
-  if (version == kShardBufferVersion) {
-    frame_seq = get64();
-    const std::uint32_t stored_crc = get32();
-    get32();  // reserved
-    if (stored_crc != frame_crc(bytes)) {
-      return fail("shard buffer CRC mismatch (stored ", stored_crc, ")");
-    }
+  const std::uint64_t frame_seq = get64();
+  const std::uint32_t stored_crc = get32();
+  get32();  // reserved
+  if (stored_crc != frame_crc(bytes)) {
+    return fail("shard buffer CRC mismatch (stored ", stored_crc, ")");
   }
   if (seq != nullptr) *seq = frame_seq;
-  if (count > (bytes.size() - header_bytes) / kWireRecordBytes ||
-      bytes.size() != header_bytes + kWireRecordBytes * count) {
+  if (count > (bytes.size() - kWireHeaderBytes) / kWireRecordBytes ||
+      bytes.size() != kWireHeaderBytes + kWireRecordBytes * count) {
     return fail("shard buffer size ", bytes.size(), " != header + ", count,
                 " records");
   }
@@ -193,51 +206,16 @@ void ShardPlane::configure(const Graph& g, int shards) {
     }
   }
   bufs_.assign(s_sz * s_sz, {});
-  tos_.assign(s_sz * s_sz, {});
-  stage_sorted_.assign(s_sz * s_sz, 1);
-  stage_prev_.assign(s_sz * s_sz, 0);
-  stage_run_.assign(s_sz * s_sz, 0);
-  stage_cong_.assign(s_sz * s_sz, 0);
   order_.assign(s_sz * s_sz, {});
   buf_congestion_.assign(s_sz * s_sz, 0);
-  arena_.assign(s_sz, {});
   counts_.assign(s_sz, {});
   key_scratch_.assign(s_sz, {});
   shard_msg_base_.assign(s_sz + 1, 0);
+  arena_.clear();
+  offsets_.assign(n + 1, 0);
   exchange_seq_ = 0;
   stats_ = {};
   stats_.shard.resize(s_sz);
-}
-
-void ShardPlane::stage(int sender_shard, std::uint32_t global_slot,
-                       VertexId from, const Message& msg) {
-  const VertexId to = graph_->slot_target(global_slot);
-  const std::size_t idx = index(sender_shard, static_cast<int>(vshard_[to]));
-  detail::StagingBuffer& b = bufs_[idx];
-  // Buffer metadata rides along with the fill (the sender resolves the
-  // receiver to pick this buffer anyway): the record target, and the slot
-  // run / sortedness bookkeeping that lets delivery skip its detection
-  // pass.  In a still-sorted buffer the maximal slot run IS the buffer's
-  // per-slot congestion; once a slot regresses the buffer is marked
-  // unsorted and phase A recomputes congestion after its key sort.
-  if (b.size() == 0) {
-    stage_sorted_[idx] = 1;
-    stage_run_[idx] = 1;
-    stage_cong_[idx] = 1;
-  } else if (stage_sorted_[idx]) {
-    if (global_slot < stage_prev_[idx]) {
-      stage_sorted_[idx] = 0;
-    } else {
-      stage_run_[idx] = global_slot == stage_prev_[idx] ? stage_run_[idx] + 1
-                                                        : 1;
-      if (stage_run_[idx] > stage_cong_[idx]) {
-        stage_cong_[idx] = stage_run_[idx];
-      }
-    }
-  }
-  stage_prev_[idx] = global_slot;
-  b.push(global_slot, from, msg);
-  tos_[idx].push_back(to);
 }
 
 std::size_t ShardPlane::staged() const {
@@ -336,28 +314,21 @@ void ShardPlane::wire_exchange() {
                        << s << ") still missing after " << attempt
                        << " attempts (seq " << seq << ")");
     }
-    // Commit the column: the decoded buffers replace the staging originals,
-    // record targets are rebuilt from the graph (with the shard invariant
-    // re-checked defensively), and the stage-time canonicalization metadata
-    // is invalidated so phase A's key sort recomputes order and congestion
-    // from the wire content -- identical content, identical results.
+    // Commit the column: the decoded buffers replace the staging originals
+    // (with the shard invariant re-checked defensively), and phase A
+    // canonicalizes them from the wire content -- identical content,
+    // identical results.
     for (int q = 0; q < shards_; ++q) {
       const std::size_t idx = index(q, s);
       bufs_[idx] = std::move(col[static_cast<std::size_t>(q)]);
       col[static_cast<std::size_t>(q)] = {};
-      const detail::StagingBuffer& b = bufs_[idx];
-      auto& tos = tos_[idx];
-      tos.clear();
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        XD_CHECK_MSG(b.slot[i] < volume,
-                     "wire record slot " << b.slot[i] << " out of range");
-        const VertexId to = graph_->slot_target(b.slot[i]);
-        XD_CHECK_MSG(vshard_[to] == static_cast<std::uint32_t>(s),
-                     "wire record routed to shard " << vshard_[to]
-                                                    << ", expected " << s);
-        tos.push_back(to);
+      for (const std::uint32_t slot : bufs_[idx].slot) {
+        XD_CHECK_MSG(slot < volume,
+                     "wire record slot " << slot << " out of range");
+        const int to_shard = shard_of(graph_->slot_target(slot));
+        XD_CHECK_MSG(to_shard == s, "wire record routed to shard "
+                                        << to_shard << ", expected " << s);
       }
-      stage_sorted_[idx] = 0;
     }
   }
 }
@@ -365,46 +336,52 @@ void ShardPlane::wire_exchange() {
 void ShardPlane::phase_count(int s) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto [lo, hi] = shard_range(s);
-  auto& counts = counts_[static_cast<std::size_t>(s)];
-  counts.assign(hi - lo, 0);
   std::uint64_t total = 0;
+  for (int q = 0; q < shards_; ++q) total += bufs_[index(q, s)].size();
+  // Receiver counts, zeroed only when there is something to count: a quiet
+  // round (most of an MPX run) costs no O(n / S) pass here.
+  auto& counts = counts_[static_cast<std::size_t>(s)];
+  if (total > 0) counts.assign(hi - lo, 0);
   for (int q = 0; q < shards_; ++q) {
     const std::size_t idx = index(q, s);
     const detail::StagingBuffer& b = bufs_[idx];
     const std::size_t m = b.size();
-    std::uint64_t cong = 0;
+    const std::uint32_t* slots = b.slot.data();
     auto& ord = order_[idx];
     ord.clear();
-    if (m > 0) {
-      // Canonical per-buffer order is ascending (slot, staging index) --
-      // the same rule as the shared arena.  stage() tracked sortedness and
-      // the maximal slot run as the buffer filled, so the common case
-      // (vertex-ascending staging) costs nothing here; an out-of-order
-      // buffer pays a stable (slot, index) key sort that also recomputes
-      // its congestion off the sorted runs.
-      if (stage_sorted_[idx]) {
-        cong = stage_cong_[idx];
-      } else {
-        auto& keys = key_scratch_[static_cast<std::size_t>(s)];
-        keys.resize(m);
-        for (std::size_t j = 0; j < m; ++j) {
-          keys[j] =
-              (std::uint64_t{b.slot[j]} << 32) | static_cast<std::uint32_t>(j);
-        }
-        std::sort(keys.begin(), keys.end());
-        ord.resize(m);
-        std::uint64_t run = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          run = j > 0 && (keys[j] >> 32) == (keys[j - 1] >> 32) ? run + 1 : 1;
-          cong = std::max(cong, run);
-          ord[j] = static_cast<std::uint32_t>(keys[j] & 0xffffffffu);
-        }
+    // Canonical per-buffer order is ascending (slot, staging index).  One
+    // fused pass detects sortedness while reading the per-slot congestion
+    // runs and counting receivers; vertex-ascending staging (every protocol
+    // in the library) survives it and needs no reordering at all.
+    std::uint64_t cong = 0;
+    std::uint64_t run = 0;
+    std::size_t i = 0;
+    for (; i < m; ++i) {
+      if (i > 0 && slots[i] < slots[i - 1]) break;
+      run = i > 0 && slots[i] == slots[i - 1] ? run + 1 : 1;
+      cong = std::max(cong, run);
+      ++counts[graph_->slot_target(slots[i]) - lo];
+    }
+    if (i < m) {
+      // Out of order: finish the (order-free) receiver counts, then sort
+      // (slot, index) keys -- a total order, so the result is stable -- to
+      // fix the visit order, and recompute congestion off the sorted runs.
+      for (std::size_t j = i; j < m; ++j) {
+        ++counts[graph_->slot_target(slots[j]) - lo];
       }
-      // Receiver counts stream the stage-time target cache -- no random
-      // slot -> receiver lookups on the delivery path.
-      const std::uint32_t* tos = tos_[idx].data();
-      for (std::size_t i = 0; i < m; ++i) ++counts[tos[i] - lo];
-      total += m;
+      auto& keys = key_scratch_[static_cast<std::size_t>(s)];
+      keys.resize(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        keys[j] = (std::uint64_t{slots[j]} << 32) | static_cast<std::uint32_t>(j);
+      }
+      sort_nearly_sorted(keys, i);
+      ord.resize(m);
+      cong = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        run = j > 0 && (keys[j] >> 32) == (keys[j - 1] >> 32) ? run + 1 : 1;
+        cong = std::max(cong, run);
+        ord[j] = static_cast<std::uint32_t>(keys[j] & 0xffffffffu);
+      }
     }
     buf_congestion_[idx] = cong;
   }
@@ -413,66 +390,77 @@ void ShardPlane::phase_count(int s) {
   st.buffer_ms = ms_since(t0);
 }
 
-void ShardPlane::phase_scatter(int s,
-                               std::vector<std::uint32_t>& inbox_offsets) {
+void ShardPlane::phase_scatter(int s) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto [lo, hi] = shard_range(s);
   auto& counts = counts_[static_cast<std::size_t>(s)];
-  auto& arena = arena_[static_cast<std::size_t>(s)];
-  arena.resize(stats_.shard[static_cast<std::size_t>(s)].received);
-  // Publish this shard's slice of the global CSR offsets (vertices [lo, hi)
-  // only -- offsets[n] is written serially by deliver(), and neighboring
-  // shards' slices are disjoint, so no write is shared across workers) and
-  // repurpose counts as arena-local scatter cursors.
+  auto& st = stats_.shard[static_cast<std::size_t>(s)];
+  // This shard's slice of the global CSR offsets is vertices [lo, hi) only
+  // (offsets_[n] is written serially by deliver(), and neighboring shards'
+  // slices are disjoint, so no write is shared across workers).
   const std::uint32_t base = shard_msg_base_[static_cast<std::size_t>(s)];
-  std::uint32_t running = 0;
-  for (std::size_t v = lo; v < hi; ++v) {
-    const std::uint32_t c = counts[v - lo];
-    inbox_offsets[v] = base + running;
-    counts[v - lo] = running;
-    running += c;
+  if (st.received == 0) {
+    std::fill(offsets_.begin() + static_cast<std::ptrdiff_t>(lo),
+              offsets_.begin() + static_cast<std::ptrdiff_t>(hi), base);
+    st.scatter_ms = ms_since(t0);
+    return;
   }
-  // Scatter the S incoming buffers in sender-shard order: sender shards
-  // partition the directed-slot space monotonically, so this visits each
-  // receiver's messages in globally ascending slot order -- the canonical
-  // delivery order of the shared-arena path.
+  // Exclusive prefix sums turn the receiver counts into scatter cursors.
+  std::uint32_t running = base;
+  for (std::uint32_t& c : counts) {
+    const std::uint32_t k = c;
+    c = running;
+    running += k;
+  }
+  Envelope* arena = arena_.data();
+  const auto cursor_of = [&](std::uint32_t slot) -> std::uint32_t& {
+    return counts[graph_->slot_target(slot) - lo];
+  };
   for (int q = 0; q < shards_; ++q) {
     const std::size_t bidx = index(q, s);
     const detail::StagingBuffer& b = bufs_[bidx];
     const auto& ord = order_[bidx];
-    const std::uint32_t* tos = tos_[bidx].data();
+    const std::uint32_t* slots = b.slot.data();
     const std::size_t m = b.size();
+    // Hint the write-allocate for an upcoming destination; the cursor may
+    // advance a little before we get there, but the line it points at now
+    // is almost always the line we will touch.  (A cursor never passes its
+    // receiver's end offset, so the hint stays inside or one past the
+    // arena.)
     constexpr std::size_t kAhead = 12;
     if (ord.empty()) {
       for (std::size_t i = 0; i < m; ++i) {
         if (i + kAhead < m) {
-          __builtin_prefetch(arena.data() + counts[tos[i + kAhead] - lo], 1, 0);
+          __builtin_prefetch(arena + cursor_of(slots[i + kAhead]), 1, 0);
         }
-        arena[counts[tos[i] - lo]++] = Envelope{b.from[i], b.msg[i]};
+        arena[cursor_of(slots[i])++] = Envelope{b.from[i], b.msg[i]};
       }
     } else {
       for (std::size_t i = 0; i < m; ++i) {
         if (i + kAhead < m) {
-          __builtin_prefetch(arena.data() + counts[tos[ord[i + kAhead]] - lo],
-                             1, 0);
+          __builtin_prefetch(arena + cursor_of(slots[ord[i + kAhead]]), 1, 0);
         }
         const std::size_t idx = ord[i];
-        arena[counts[tos[idx] - lo]++] = Envelope{b.from[idx], b.msg[idx]};
+        arena[cursor_of(slots[idx])++] = Envelope{b.from[idx], b.msg[idx]};
       }
     }
   }
-  stats_.shard[static_cast<std::size_t>(s)].scatter_ms = ms_since(t0);
+  // Every cursor now sits at its receiver's end, which is where the next
+  // receiver starts: shift them into the offsets slice.
+  offsets_[lo] = base;
+  std::copy(counts.begin(), counts.end() - 1,
+            offsets_.begin() + static_cast<std::ptrdiff_t>(lo) + 1);
+  st.scatter_ms = ms_since(t0);
 }
 
-void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
-                         int workers) {
+void ShardPlane::deliver(int workers) {
   const auto S = static_cast<std::size_t>(shards_);
   const std::size_t n = graph_->num_vertices();
   const int w = clamp_workers(workers, shards_);
 
   // Fault-armed runs route every buffer through the wire frame path first
   // (serial, deterministic); disarmed runs pay one relaxed load here and
-  // exchange buffers in memory as before.
+  // exchange buffers in memory.  A single shard has no exchange to damage.
   if (shards_ > 1 &&
       FaultPlane::instance().armed(FaultCategory::kShard)) {
     wire_exchange();
@@ -488,9 +476,9 @@ void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
                                     }
                                   });
 
-  // Serial barrier: shard totals -> global arena base offsets, buffer
-  // congestion -> global max.  Exact because every directed slot lives in
-  // exactly one (sender, dest) buffer.
+  // Serial barrier: shard totals -> arena slice offsets, buffer congestion
+  // -> global max.  Exact because every directed slot lives in exactly one
+  // (sender, dest) buffer.
   std::size_t total_staged = 0;
   stats_.max_congestion = 0;
   shard_msg_base_[0] = 0;
@@ -505,21 +493,18 @@ void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
     stats_.max_congestion = std::max(stats_.max_congestion, c);
   }
   stats_.staged = total_staged;
-  inbox_offsets[n] = shard_msg_base_[S];
+  offsets_[n] = shard_msg_base_[S];
+  arena_.resize(total_staged);
 
   // Phase B, parallel over destination shards: publish offsets and scatter.
   EpochScheduler::run_partitioned(
       S, w, [&](int /*w*/, std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
-          phase_scatter(static_cast<int>(s), inbox_offsets);
+          phase_scatter(static_cast<int>(s));
         }
       });
 
-  // Clearing a buffer resets its stage-time metadata lazily: stage()
-  // reinitializes the sortedness/run tracking on the first push into an
-  // empty buffer.
   for (auto& b : bufs_) b.clear();
-  for (auto& t : tos_) t.clear();
 }
 
 }  // namespace xd::congest

@@ -11,6 +11,7 @@
 #include "congest/network.hpp"
 #include "corpus.hpp"
 #include "graph/generators.hpp"
+#include "oracles/delivery_oracle.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -18,6 +19,7 @@ namespace xd::congest {
 namespace {
 
 using corpus::topology;
+using oracle::RefNetwork;
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -28,14 +30,17 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 /// the per-buffer sorted fast path), same-slot re-sends (congestion > 1),
 /// silent vertices, and a per-vertex fold hash over full envelope contents
 /// (sender, tag, payload) so any reorder or loss flips the fingerprint.
-struct Chatter final : VertexProgram {
+/// The send phase is generic over the outbox so the same protocol runs
+/// through Network and through the delivery oracle.
+struct Chatter {
   explicit Chatter(const Graph& g) : g(&g), acc(g.num_vertices(), 0) {}
 
   const Graph* g;
   int round = 0;
   std::vector<std::uint64_t> acc;
 
-  void on_send(VertexId v, Outbox& out) override {
+  template <class Out>
+  void on_send(VertexId v, Out& out) {
     if (v % 3 == 2) return;
     const auto nbrs = g->neighbors(v);
     for (std::uint32_t s = static_cast<std::uint32_t>(nbrs.size()); s-- > 0;) {
@@ -46,7 +51,7 @@ struct Chatter final : VertexProgram {
     }
   }
 
-  void on_receive(VertexId v, std::span<const Envelope> inbox) override {
+  void on_receive(VertexId v, std::span<const Envelope> inbox) {
     for (const Envelope& e : inbox) {
       acc[v] = mix(acc[v], e.from);
       acc[v] = mix(acc[v], e.msg.tag);
@@ -65,87 +70,169 @@ struct RunResult {
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
+constexpr int kChatterRounds = 4;
+
 RunResult run_chatter(const Graph& g, int shards, int threads) {
   RoundLedger ledger;
   Network net(g, ledger, /*seed=*/7);
   net.set_shards(shards);
   net.set_threads(threads);
-  Chatter program(g);
+  Chatter chatter(g);
+  auto program = make_program(
+      [&](VertexId v, Outbox& out) { chatter.on_send(v, out); },
+      [&](VertexId v, std::span<const Envelope> in) {
+        chatter.on_receive(v, in);
+      });
   RunResult r;
-  for (program.round = 0; program.round < 4; ++program.round) {
+  for (chatter.round = 0; chatter.round < kChatterRounds; ++chatter.round) {
     r.rounds_per_step.push_back(net.run_round(program, "chatter"));
   }
-  r.acc = program.acc;
+  r.acc = chatter.acc;
   r.rounds = ledger.rounds();
   r.messages = ledger.messages();
   return r;
 }
 
-// The tentpole conformance grid: inbox fold hashes, per-step round charges
-// (max congestion), and ledger totals must be bit-identical to the serial
-// shared-arena run at every shards x threads combination.
-TEST(ShardConformance, GridMatchesSharedArenaOnAllTopologies) {
+RunResult run_chatter_reference(const Graph& g) {
+  RefNetwork ref(g);
+  Chatter chatter(g);
+  RunResult r;
+  for (chatter.round = 0; chatter.round < kChatterRounds; ++chatter.round) {
+    r.rounds_per_step.push_back(ref.run_round(
+        [&](VertexId v, RefNetwork::Outbox& out) { chatter.on_send(v, out); },
+        [&](VertexId v, std::span<const Envelope> in) {
+          chatter.on_receive(v, in);
+        }));
+  }
+  r.acc = chatter.acc;
+  r.rounds = ref.rounds();
+  r.messages = ref.messages();
+  return r;
+}
+
+// The conformance grid: inbox fold hashes, per-step round charges (max
+// congestion), and ledger totals must equal the delivery oracle's at every
+// shards x threads combination.
+TEST(ShardConformance, GridMatchesDeliveryOracleOnAllTopologies) {
   for (const char* name : {"expander", "dumbbell", "star"}) {
     SCOPED_TRACE(name);
     const Graph g = topology(name);
-    const RunResult baseline = run_chatter(g, /*shards=*/1, /*threads=*/1);
-    EXPECT_GT(baseline.messages, 0u);
+    const RunResult expected = run_chatter_reference(g);
+    EXPECT_GT(expected.messages, 0u);
     for (const int shards : {1, 2, 4, 8}) {
       for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE("shards=" + std::to_string(shards) +
                      " threads=" + std::to_string(threads));
-        EXPECT_EQ(run_chatter(g, shards, threads), baseline);
+        EXPECT_EQ(run_chatter(g, shards, threads), expected);
       }
     }
   }
 }
 
+/// One record of a direct-staged batch (batches list them in staging order).
+struct DirectSend {
+  VertexId from;
+  std::uint32_t slot;
+  Message msg;
+  bool by_neighbor;  ///< stage via send_to(from, neighbor) instead of send
+};
+
+// Stages `batch` through Network at every shards x threads combination and
+// compares inboxes, the round charge and the ledger totals to the oracle.
+void expect_batch_matches_oracle(const Graph& g,
+                                 const std::vector<DirectSend>& batch) {
+  RefNetwork ref(g);
+  for (const DirectSend& d : batch) {
+    if (d.by_neighbor) {
+      ref.send_to(d.from, g.neighbors(d.from)[d.slot], d.msg);
+    } else {
+      ref.send(d.from, d.slot, d.msg);
+    }
+  }
+  const std::uint64_t want_rounds = ref.exchange();
+  for (const int shards : {1, 2, 4, 8}) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      RoundLedger ledger;
+      Network net(g, ledger);
+      net.set_shards(shards);
+      net.set_threads(threads);
+      for (const DirectSend& d : batch) {
+        if (d.by_neighbor) {
+          net.send_to(d.from, g.neighbors(d.from)[d.slot], d.msg);
+        } else {
+          net.send(d.from, d.slot, d.msg);
+        }
+      }
+      EXPECT_EQ(net.exchange("direct"), want_rounds);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const auto a = ref.inbox(v);
+        const auto b = net.inbox(v);
+        ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].from, b[i].from) << "vertex " << v << " msg " << i;
+          EXPECT_EQ(a[i].msg, b[i].msg) << "vertex " << v << " msg " << i;
+        }
+      }
+      EXPECT_EQ(ledger.rounds(), ref.rounds());
+      EXPECT_EQ(ledger.messages(), ref.messages());
+    }
+  }
+}
+
+/// `count` sends from random senders over random slots: unsorted, with
+/// same-slot repeats.
+std::vector<DirectSend> random_batch(const Graph& g, std::size_t count,
+                                     std::uint64_t seed) {
+  Rng pick(seed);
+  std::vector<DirectSend> batch;
+  while (batch.size() < count) {
+    const auto v = static_cast<VertexId>(pick.next_below(g.num_vertices()));
+    if (g.degree(v) == 0) continue;
+    const auto s = static_cast<std::uint32_t>(pick.next_below(g.degree(v)));
+    if (g.neighbors(v)[s] == v) continue;
+    batch.push_back({v, s, Message{static_cast<std::uint32_t>(batch.size()),
+                                   pick(), v},
+                     batch.size() % 3 == 0});
+  }
+  return batch;
+}
+
 // Direct send()/send_to() staging (no VertexProgram) routes straight into
-// the sender shard's aggregation buffers: contents, order, and round charges
-// must match the shared arena, including same-slot re-send ties staged out
-// of order.
-TEST(ShardConformance, DirectExchangeMatchesSharedArena) {
-  const Graph g = topology("gnp-medium");
-  const auto stage_all = [&](Network& net) {
+// the sender shard's aggregation buffers.  Inputs: a descending-sender
+// flood with same-slot re-send ties, an unsorted batch of volume/8
+// messages (past the volume/16 mark where delivery once switched to a
+// slot-counting path), and a small unsorted batch.
+TEST(ShardConformance, DirectBatchesMatchDeliveryOracle) {
+  {
+    SCOPED_TRACE("descending flood");
+    const Graph g = topology("gnp-medium");
+    std::vector<DirectSend> batch;
     for (VertexId v = g.num_vertices(); v-- > 0;) {
       const auto nbrs = g.neighbors(v);
       for (std::uint32_t s = 0; s < nbrs.size(); ++s) {
         if (nbrs[s] == v) continue;
-        net.send(v, s, Message{s, v});
-        if (v % 5 == 0) net.send_to(v, nbrs[s], Message{99, v});
+        batch.push_back({v, s, Message{s, v}, false});
+        if (v % 5 == 0) batch.push_back({v, s, Message{99, v}, true});
       }
     }
-  };
-  RoundLedger shared_ledger;
-  Network shared(g, shared_ledger);
-  shared.set_shards(1);
-  stage_all(shared);
-  const std::uint64_t shared_rounds = shared.exchange("direct");
-
-  for (const int shards : {2, 4, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    RoundLedger ledger;
-    Network net(g, ledger);
-    net.set_shards(shards);
-    net.set_threads(4);
-    stage_all(net);
-    EXPECT_EQ(net.exchange("direct"), shared_rounds);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto a = shared.inbox(v);
-      const auto b = net.inbox(v);
-      ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].from, b[i].from) << "vertex " << v << " msg " << i;
-        EXPECT_EQ(a[i].msg, b[i].msg) << "vertex " << v << " msg " << i;
-      }
-    }
-    EXPECT_EQ(ledger.rounds(), shared_ledger.rounds());
-    EXPECT_EQ(ledger.messages(), shared_ledger.messages());
+    expect_batch_matches_oracle(g, batch);
+  }
+  {
+    SCOPED_TRACE("large unsorted");
+    const Graph g = topology("expander");
+    expect_batch_matches_oracle(g, random_batch(g, g.volume() / 8, 41));
+  }
+  {
+    SCOPED_TRACE("small unsorted");
+    const Graph g = topology("gnp-small");
+    expect_batch_matches_oracle(g, random_batch(g, 7, 43));
   }
 }
 
 // Direct sends staged before a run_round must precede the send phase's
-// messages on the same slot (the shared path's tiebreak), sharded or not.
+// messages on the same slot (per-sender staging order), at any S.
 TEST(ShardConformance, DirectSendsPrecedeProgramStagingOnSlotTies) {
   const Graph g = gen::path(2);
   auto run = [&](int shards) {
@@ -182,7 +269,7 @@ TEST(ShardConformance, EmptyExchangeChargesOneRoundAndOverridesHold) {
     EXPECT_TRUE(net.inbox(v).empty());
   }
   // Congestion 2 under an override of 5 charges 5; an override below the
-  // congestion is rejected, same as the shared path.
+  // congestion is rejected.
   net.send_to(1, 0, Message{1, 1});
   net.send_to(1, 0, Message{2, 2});
   EXPECT_EQ(net.exchange_charging("override", 5), 5u);
@@ -280,48 +367,6 @@ TEST(ShardWire, BufferRoundTrip) {
   }
 }
 
-// A version-1 frame -- 24-byte header, no sequence number or CRC -- must
-// still decode (reported as seq 0): prepared buffer dumps from before the
-// v2 format stay readable.
-TEST(ShardWire, DecodesLegacyV1Frames) {
-  detail::StagingBuffer buf;
-  buf.push(5, 2, Message{4, 11, 12});
-  std::vector<unsigned char> v1;
-  const auto put32 = [&v1](std::uint32_t v) {
-    for (int b = 0; b < 4; ++b) {
-      v1.push_back(static_cast<unsigned char>(v >> (8 * b)));
-    }
-  };
-  const auto put64 = [&v1](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      v1.push_back(static_cast<unsigned char>(v >> (8 * b)));
-    }
-  };
-  put32(kShardBufferMagic);
-  put32(kShardBufferLegacyVersion);
-  put32(1);  // sender
-  put32(2);  // dest
-  put64(buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    put32(buf.slot[i]);
-    put32(buf.from[i]);
-    put32(buf.msg[i].tag);
-    put64(buf.msg[i].words[0]);
-    put64(buf.msg[i].words[1]);
-  }
-  std::uint32_t sender = 0;
-  std::uint32_t dest = 0;
-  std::uint64_t seq = 99;
-  detail::StagingBuffer back;
-  decode_shard_buffer(v1, &sender, &dest, &back, &seq);
-  EXPECT_EQ(sender, 1u);
-  EXPECT_EQ(dest, 2u);
-  EXPECT_EQ(seq, 0u);
-  ASSERT_EQ(back.size(), buf.size());
-  EXPECT_EQ(back.slot[0], buf.slot[0]);
-  EXPECT_EQ(back.msg[0], buf.msg[0]);
-}
-
 // Any single flipped bit in a v2 frame -- header or payload -- must fail
 // the CRC (or a structural check) and be rejected; try_decode reports it
 // without throwing.
@@ -366,6 +411,27 @@ TEST(ShardWire, RejectsMalformedBuffers) {
   bad_version[4] ^= 0xff;
   EXPECT_THROW(decode_shard_buffer(bad_version, &sender, &dest, &out),
                CheckError);
+
+  // A version-1 frame (24-byte header, no sequence number or CRC) is no
+  // longer a supported format.
+  std::vector<unsigned char> v1;
+  const auto put = [&v1](std::uint64_t v, int bytes_wide) {
+    for (int b = 0; b < bytes_wide; ++b) {
+      v1.push_back(static_cast<unsigned char>(v >> (8 * b)));
+    }
+  };
+  put(kShardBufferMagic, 4);
+  put(1, 4);  // version
+  put(0, 4);  // sender
+  put(1, 4);  // dest
+  put(buf.size(), 8);
+  put(buf.slot[0], 4);
+  put(buf.from[0], 4);
+  put(buf.msg[0].tag, 4);
+  put(buf.msg[0].words[0], 8);
+  put(buf.msg[0].words[1], 8);
+  EXPECT_THROW(decode_shard_buffer(v1, &sender, &dest, &out), CheckError);
+  EXPECT_FALSE(try_decode_shard_buffer(v1, &sender, &dest, &out));
 }
 
 TEST(ShardCount, ParserRejectsGarbageLoudly) {
@@ -383,8 +449,8 @@ TEST(ShardCount, ParserRejectsGarbageLoudly) {
   EXPECT_THROW((void)parse_shard_count(nullptr), CheckError);
 }
 
-// A garbage XD_SHARDS value must fail Network construction loudly, not run
-// silently unsharded.
+// A garbage XD_SHARDS value must fail Network construction loudly, not
+// silently fall back to one shard.
 TEST(ShardCount, NetworkCtorRejectsGarbageEnv) {
   const char* saved = std::getenv("XD_SHARDS");
   const std::string restore = saved != nullptr ? saved : "";
