@@ -10,8 +10,8 @@
 //        engages; exactness against ground truth everywhere.
 //   E4c  router ablation: GKS cost model vs fully simulated TreeRouter.
 //   E4d  proxy-join data plane, flat vs seed: the flat-arena
-//        enumerate_cluster (triple ranking + sort-grouped buckets + CSR
-//        merge join + stamped scratch) against the retained seed reference
+//        enumerate_cluster (triple ranking + one E_i listing over a local
+//        CSR + stamped scratch) against the retained seed reference
 //        (hashed host table, std::map buckets, per-bucket hash join,
 //        per-cluster O(n) membership vectors) over a 100-cluster workload
 //        at --scale ambient vertices.  --json PATH emits the E4d summary
@@ -240,83 +240,19 @@ std::string run_e4d(std::size_t scale) {
   return out.str();
 }
 
-/// E4d-large: the join phase alone, at million-edge scale, against the
-/// PR 4 scalar paths.  Two components, matching the two consumers:
-///
-///  * **bucket**: one dense cluster's proxy-tuple plane (every edge shipped
-///    to its p proxy triples, exactly the data-plane expansion), joined by
-///    the kernelized join_proxy_buckets vs the retained per-candidate
-///    binary-search probe join;
-///  * **csr**: the local baseline's CSR merge join on a skewed graph
-///    (loaded from --input, else preferential attachment -- hubs cross the
-///    bitmap threshold), kernelized csr_triangle_join vs the retained
-///    two-pointer reference.
-///
-/// Both comparisons assert bit-identical triangle output before timing.
-/// The bucket ratio -- the triangle plane's join phase against PR 4's
-/// wedge-probe scalar path -- is the >= 3x acceptance number; the CSR A/B
-/// (memory-bound at this scale: the probes are random stamped bit tests
-/// into an L2-resident slab) and the combined ratio are reported alongside.
+/// E4d-large: the CSR join at million-edge scale against the PR 4 scalar
+/// path: the kernelized csr_triangle_join -- the join every triangle plane
+/// runs (the local baseline over its graph, the DLP planes over each
+/// listed edge set, triangle/edge_listing.hpp) -- vs the retained
+/// two-pointer reference, on a skewed graph (loaded from --input, else
+/// preferential attachment -- hubs cross the bitmap threshold).  The
+/// comparison asserts bit-identical triangle output before timing; at this
+/// scale the join is memory-bound (the probes are random stamped bit tests
+/// into an L2-resident slab).
 std::string run_e4d_large(std::size_t scale, const std::string& input,
                           bool reorder) {
   using namespace xd;
   Rng rng(161803);
-
-  // ---- bucket-join component -------------------------------------------
-  // One decomposition-shaped cluster: dense (the DLP lower-bound family is
-  // G(n, 1/2); expander clusters the driver hands over are near-dense), so
-  // bucket runs are long enough that the closing-edge search is the cost.
-  const std::size_t cn = std::max<std::size_t>(1200, scale / 800);
-  const double avg_deg = std::min<double>(400.0, static_cast<double>(cn) / 2);
-  const Graph cg = gen::gnp(cn, avg_deg / static_cast<double>(cn), rng);
-  const auto p = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(std::cbrt(static_cast<double>(cn)))));
-  const triangle::TripleRanker ranker(p);
-  std::vector<std::uint32_t> groups(cn);
-  for (auto& gr : groups) gr = static_cast<std::uint32_t>(rng.next_below(p));
-  std::vector<triangle::ProxyTuple> plane;
-  plane.reserve(cg.num_edges() * p);
-  cg.for_each_live_edge([&](EdgeId, VertexId u, VertexId v) {
-    for (std::uint32_t w = 0; w < p; ++w) {
-      plane.push_back(
-          triangle::ProxyTuple{ranker.rank(groups[u], groups[v], w), u, v});
-    }
-  });
-
-  triangle::JoinScratch js;
-  std::vector<triangle::Triangle> tris;
-  const auto bucket_arm = [&](bool kernelized) {
-    auto tuples = plane;  // the joins group in place; copy per arm
-    tris.clear();
-    if (kernelized) {
-      triangle::join_proxy_buckets(tuples, ranker, groups.data(), js, tris);
-    } else {
-      triangle::join_proxy_buckets_probe(tuples, ranker, groups.data(), js,
-                                         tris);
-    }
-  };
-  bucket_arm(false);
-  auto bucket_want = tris;
-  bucket_arm(true);
-  const bool bucket_identical = tris == bucket_want;
-  bucket_want.clear();
-  bucket_want.shrink_to_fit();
-  const std::uint64_t bucket_tris = tris.size();
-
-  constexpr int kReps = 3;
-  double bucket_probe_ms = 0, bucket_kernel_ms = 0;
-  for (int r = 0; r < kReps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    bucket_arm(false);
-    const double pm = ms_since(t0);
-    bucket_probe_ms = r == 0 ? pm : std::min(bucket_probe_ms, pm);
-    t0 = std::chrono::steady_clock::now();
-    bucket_arm(true);
-    const double km = ms_since(t0);
-    bucket_kernel_ms = r == 0 ? km : std::min(bucket_kernel_ms, km);
-  }
-
-  // ---- CSR-join component ----------------------------------------------
   std::string source = "preferential_attachment";
   Graph big;
   if (!input.empty()) {
@@ -347,6 +283,7 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
     offsets[v + 1] = static_cast<std::uint32_t>(adj.size());
   }
 
+  std::vector<triangle::Triangle> tris;
   const auto csr_arm = [&](bool kernelized) {
     tris.clear();
     if (kernelized) {
@@ -364,6 +301,7 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   csr_want.shrink_to_fit();
   const std::uint64_t csr_tris = tris.size();
 
+  constexpr int kReps = 3;
   double csr_ref_ms = 0, csr_kernel_ms = 0;
   for (int r = 0; r < kReps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
@@ -376,50 +314,29 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
     csr_kernel_ms = r == 0 ? km : std::min(csr_kernel_ms, km);
   }
 
-  // Attribution pass: both kernelized arms once, with timing on.
+  // Attribution pass: the kernelized arm once, with timing on.
   triangle::intersect::reset_thread_stats();
   triangle::intersect::set_timing_enabled(true);
-  bucket_arm(true);
   csr_arm(true);
   triangle::intersect::set_timing_enabled(false);
 
-  const double bucket_speedup =
-      bucket_kernel_ms > 0 ? bucket_probe_ms / bucket_kernel_ms : 0.0;
   const double csr_speedup =
       csr_kernel_ms > 0 ? csr_ref_ms / csr_kernel_ms : 0.0;
-  const double old_ms = bucket_probe_ms + csr_ref_ms;
-  const double new_ms = bucket_kernel_ms + csr_kernel_ms;
-  const double combined_speedup = new_ms > 0 ? old_ms / new_ms : 0.0;
-  const bool identical = bucket_identical && csr_identical;
 
-  Table t("E4d-large: join phase, hybrid kernels vs PR 4 scalar paths",
+  Table t("E4d-large: CSR join, hybrid kernels vs PR 4 scalar path",
           {"component", "work", "triangles", "scalar ms", "kernel ms",
            "speedup", "identical?"});
-  t.add_row({"bucket join", Table::cell(static_cast<std::uint64_t>(plane.size())),
-             Table::cell(bucket_tris), Table::cell(bucket_probe_ms),
-             Table::cell(bucket_kernel_ms), Table::cell(bucket_speedup),
-             bucket_identical ? "yes" : "NO"});
   t.add_row({"csr join",
              Table::cell(static_cast<std::uint64_t>(big.num_edges())),
              Table::cell(csr_tris), Table::cell(csr_ref_ms),
              Table::cell(csr_kernel_ms), Table::cell(csr_speedup),
              csr_identical ? "yes" : "NO"});
   t.print();
-  std::cout << "proxy-join phase: " << bucket_probe_ms << " ms -> "
-            << bucket_kernel_ms << " ms (" << bucket_speedup
-            << "x, acceptance >= 3x); combined with csr: " << old_ms
-            << " ms -> " << new_ms << " ms (" << combined_speedup << "x)\n";
   print_kernel_table("E4d-large kernel attribution (one kernelized pass)");
 
   std::ostringstream out;
   out << "  \"e4d_large\": {\n"
       << "    \"scale\": " << scale << ",\n"
-      << "    \"bucket\": {\"tuples\": " << plane.size()
-      << ", \"p\": " << p << ", \"triangles\": " << bucket_tris
-      << ", \"probe_ms\": " << bucket_probe_ms
-      << ", \"kernel_ms\": " << bucket_kernel_ms
-      << ", \"speedup\": " << bucket_speedup << ", \"identical\": "
-      << (bucket_identical ? "true" : "false") << "},\n"
       << "    \"csr\": {\"source\": \"" << source << "\", \"n\": " << bn
       << ", \"edges\": " << big.num_edges()
       << ", \"reordered\": " << (reorder ? "true" : "false")
@@ -427,12 +344,9 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
       << ", \"kernel_ms\": " << csr_kernel_ms
       << ", \"speedup\": " << csr_speedup << ", \"identical\": "
       << (csr_identical ? "true" : "false") << "},\n"
-      << "    \"join_speedup\": " << bucket_speedup << ",\n"
-      << "    \"combined_speedup\": " << combined_speedup << ",\n"
-      << "    \"meets_3x_bar\": " << (bucket_speedup >= 3.0 ? "true" : "false")
-      << ",\n"
       << kernels_json("    ") << ",\n"
-      << "    \"bit_identical\": " << (identical ? "true" : "false") << "\n"
+      << "    \"bit_identical\": " << (csr_identical ? "true" : "false")
+      << "\n"
       << "  }";
   return out.str();
 }

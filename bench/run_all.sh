@@ -22,11 +22,10 @@
 # bare BENCH_*.json in --out-dir stays the "latest" pointer CI reads).
 #
 # With --large, the million-edge tier runs instead: bench_triangle --large
-# (the E4d-large join-phase comparison -- hybrid SIMD kernels vs the PR 4
-# scalar paths; acceptance: >= 3x on the proxy-join phase, with the CSR
-# A/B and combined ratio reported alongside -- on generated graphs, or on
-# a binary edge list passed via --input FILE.xdg, optionally --reorder'ed
-# by degree) plus bench_expander and bench_kernel with XD_KERNEL_LARGE=1
+# (the E4d-large CSR-join comparison -- the hybrid SIMD kernels behind
+# every triangle plane vs the PR 4 scalar two-pointer join -- on generated
+# graphs, or on a binary edge list passed via --input FILE.xdg, optionally
+# --reorder'ed by degree) plus bench_expander and bench_kernel with XD_KERNEL_LARGE=1
 # (the S = 8 vs S = 1 delivery A/B on the 8M-edge graph, filtered to the
 # BM_Deliver* family), with results defaulting to bench/results/.
 # XD_LARGE_SCALE (or --large-scale) overrides the 1M default scale.

@@ -76,10 +76,10 @@
 #include "spectral/mixing.hpp"
 #include "spectral/sweep.hpp"
 #include "triangle/baseline_local.hpp"
-#include "triangle/bucket_join.hpp"
 #include "triangle/clique_dlp.hpp"
 #include "triangle/cluster_enum.hpp"
 #include "triangle/detect.hpp"
+#include "triangle/edge_listing.hpp"
 #include "triangle/enumerate.hpp"
 #include "triangle/intersect.hpp"
 #include "triangle/triple_rank.hpp"

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "util/check.hpp"
+#include "util/scratch.hpp"
 
 namespace xd::sparsecut {
 
@@ -47,6 +47,31 @@ std::uint64_t instance_rounds(const NibbleResult& r, Preset preset) {
   return steps + steps * (height + log_support);
 }
 
+/// One edge's overlap-guard counter: how many instances it participates
+/// in, and the 1-based id of the last instance that counted it (so an edge
+/// reached from both endpoints counts once per instance).
+struct Participation {
+  std::uint32_t last_instance = 0;
+  int count = 0;
+};
+
+/// The calling thread's per-edge counters, keyed by ambient EdgeId and
+/// cleared by one stamp bump per call.
+util::StampedMap<Participation>& participation_for_thread() {
+  thread_local util::StampedMap<Participation> counters;
+  return counters;
+}
+
+/// Size of the EdgeId space for_each_live_incident reports from.
+template <GraphAccess G>
+std::size_t edge_id_domain(const G& g) {
+  if constexpr (std::is_same_v<G, GraphView>) {
+    return g.ambient().num_edges();
+  } else {
+    return g.num_edges();
+  }
+}
+
 }  // namespace
 
 template <GraphAccess G>
@@ -76,15 +101,19 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
   // --- Overlap guard: count per-edge participation across instances.  An
   // edge participates in an instance iff it is incident to a vertex that
   // ever carried truncated mass (Definition 2). ---
-  std::unordered_map<EdgeId, int> participation;
+  auto& participation = participation_for_thread();
+  participation.begin_epoch(edge_id_domain(g));
   int max_overlap = 0;
+  std::uint32_t instance = 0;
   for (const auto& run : runs) {
-    std::unordered_set<EdgeId> mine;
+    ++instance;
     for (VertexId v : run.inner.touched) {
-      g.for_each_live_incident(v, [&](EdgeId e, VertexId) { mine.insert(e); });
-    }
-    for (EdgeId e : mine) {
-      max_overlap = std::max(max_overlap, ++participation[e]);
+      g.for_each_live_incident(v, [&](EdgeId e, VertexId) {
+        Participation& p = participation.ref(e);
+        if (p.last_instance == instance) return;
+        p.last_instance = instance;
+        max_overlap = std::max(max_overlap, ++p.count);
+      });
     }
   }
   out.max_overlap = max_overlap;

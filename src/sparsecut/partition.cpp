@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
@@ -19,25 +20,28 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
   const std::uint64_t total_volume = g.volume();
   XD_CHECK(total_volume > 0);
 
-  std::vector<char> in_w(g.num_vertices(), 0);
-  for (const VertexId v : g.vertices()) in_w[v] = 1;
-  std::vector<char> in_c(g.num_vertices(), 0);
+  // W and C as sorted id lists in g's id space.
+  const auto all = g.vertices();
+  VertexSet w(std::vector<VertexId>(all.begin(), all.end()));
+  VertexSet c;
+  // G{W_{i-1}} as a zero-copy overlay: same degrees, |E|, and volume a
+  // materialized induced_with_loops would report, no CSR rebuilt per
+  // restart.  Cut ids come back in g's own id space.  W only changes when
+  // an iteration cuts, so an empty round keeps the view.
+  std::optional<GraphView> sub;
   std::uint64_t removed_volume = 0;
   int empty_streak = 0;
 
   for (std::uint64_t i = 1; i <= prm.max_iterations; ++i) {
     out.iterations = i;
 
-    // G{W_{i-1}} as a zero-copy overlay: same degrees, |E|, and volume a
-    // materialized induced_with_loops would report, no CSR rebuilt per
-    // restart.  Cut ids come back in g's own id space.
-    const GraphView sub = restrict_view(g, VertexSet::from_bitmap(in_w));
-    if (sub.volume() == 0) break;
-    const NibbleParams sub_prm =
-        prm.rescaled(std::max<std::size_t>(sub.num_edges(), 1), sub.volume());
+    if (!sub) sub.emplace(restrict_view(g, w));
+    if (sub->volume() == 0) break;
+    const NibbleParams sub_prm = prm.rescaled(
+        std::max<std::size_t>(sub->num_edges(), 1), sub->volume());
 
     ParallelNibbleResult pn =
-        parallel_nibble(sub, sub_prm, rng, ledger, diameter_hint);
+        parallel_nibble(*sub, sub_prm, rng, ledger, diameter_hint);
     if (pn.overlap_aborted) ++out.overlap_aborts;
 
     if (!pn.cut.empty() && prm.preset == Preset::kPractical) {
@@ -45,7 +49,7 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
       // stay within 2x of the Theorem 3 contract (6 φ); a union that does
       // not is treated as an empty round (Lemma 7 gives this structurally
       // under paper constants).
-      if (conductance(sub, pn.cut) > 12.0 * sub_prm.phi) {
+      if (conductance(*sub, pn.cut) > 12.0 * sub_prm.phi) {
         pn.cut = VertexSet{};
       }
     }
@@ -60,12 +64,12 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
     }
     empty_streak = 0;
 
-    for (VertexId pv : pn.cut) {
-      XD_CHECK(in_w[pv]);
-      in_w[pv] = 0;
-      in_c[pv] = 1;
-      removed_volume += g.degree(pv);
-    }
+    VertexSet rest = w.set_difference(pn.cut);
+    XD_CHECK(rest.size() + pn.cut.size() == w.size());  // the cut lies in W
+    for (VertexId pv : pn.cut) removed_volume += g.degree(pv);
+    w = std::move(rest);
+    c = c.set_union(pn.cut);
+    sub.reset();
 
     // Stop when the remaining volume dropped below (47/48) Vol(V).
     if (static_cast<double>(total_volume - removed_volume) <=
@@ -75,7 +79,7 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
     if (i == prm.max_iterations) out.hit_iteration_cap = true;
   }
 
-  out.cut = VertexSet::from_bitmap(in_c);
+  out.cut = std::move(c);
   if (!out.cut.empty()) {
     out.conductance = conductance(g, out.cut);
     out.balance = balance(g, out.cut);

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "triangle/bucket_join.hpp"
-#include "triangle/cluster_enum.hpp"
-#include "util/check.hpp"
+#include "triangle/edge_listing.hpp"
+#include "triangle/triple_rank.hpp"
 
 namespace xd::triangle {
 
@@ -32,18 +31,16 @@ EnumerationResult enumerate_clique_dlp(const Graph& g,
   // no host table.
 
   CliqueNetwork net(n, ledger);
-  auto& scratch = TriangleScratch::for_thread();
-  auto& tuples = scratch.tuples;
-  tuples.clear();
+  std::vector<EdgeId> shipped;
+  shipped.reserve(g.num_edges());
 
   // Ship every edge (sender: min endpoint) to the proxies of every triple
-  // containing its group pair; the same pass stages the local bucket plane
-  // (identical to re-deriving the targets at each host -- the exchange
-  // below charges the rounds for the shipped part).  Message payload:
-  // endpoints packed in words[0], proxy rank in words[1].
+  // containing its group pair.  Message payload: endpoints packed in
+  // words[0], proxy rank in words[1].
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto [u, v] = g.edge(e);
     if (u == v) continue;
+    shipped.push_back(e);
     const VertexId sender = std::min(u, v);
     const std::uint32_t gu = groups[u];
     const std::uint32_t gv = groups[v];
@@ -51,7 +48,6 @@ EnumerationResult enumerate_clique_dlp(const Graph& g,
     // send order matches the seed's sorted-key iteration exactly.
     for (std::uint32_t c = 0; c < p; ++c) {
       const std::uint64_t rank = ranker.rank(gu, gv, c);
-      tuples.push_back(ProxyTuple{rank, sender, std::max(u, v)});
       const auto host = static_cast<VertexId>(rank % n);
       if (host == sender) continue;  // local knowledge, no message needed
       net.send(sender, host,
@@ -61,14 +57,10 @@ EnumerationResult enumerate_clique_dlp(const Graph& g,
   }
   net.exchange_lenzen("DLP/ship-edges");
 
-  // Join per proxy triple over the flat plane (bucket_join.hpp); the
-  // ownership rule keeps the output duplicate-free across proxies.
-  std::vector<Triangle> found;
-  join_proxy_buckets(tuples, ranker, groups.data(), scratch.join, found);
-  std::sort(found.begin(), found.end());
-  found.erase(std::unique(found.begin(), found.end()), found.end());
-
-  out.triangles = std::move(found);
+  // The proxies' joins: each triangle is reported once, at the proxy
+  // owning its group triple, so their union is the shipped edges' triangle
+  // set -- listed once (edge_listing.hpp), sorted and duplicate-free.
+  list_edge_triangles(g, shipped, out.triangles);
   out.rounds = ledger.rounds() - before;
   return out;
 }

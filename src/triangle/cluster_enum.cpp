@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "triangle/edge_listing.hpp"
+#include "triangle/triple_rank.hpp"
 #include "util/check.hpp"
 
 namespace xd::triangle {
@@ -24,12 +26,10 @@ std::vector<Triangle> enumerate_cluster(
   const TripleRanker ranker(p);
   const auto& to_local = scratch.to_local;
 
-  // Build demands (knower -> host, one message per shipped edge copy) and
-  // the flat proxy plane.  Proxy hosts are round-robin over the cluster's
-  // vertices in triple-rank order, so host lookup is index arithmetic.
-  auto& tuples = scratch.tuples;
+  // Build demands (knower -> host, one message per shipped edge copy).
+  // Proxy hosts are round-robin over the cluster's vertices in triple-rank
+  // order, so host lookup is index arithmetic.
   auto& demands = scratch.demands;
-  tuples.clear();
   demands.clear();
   for (const EdgeId e : edge_ids) {
     const auto [u, v] = ambient.edge(e);
@@ -46,8 +46,6 @@ std::vector<Triangle> enumerate_cluster(
     }
     const std::uint32_t gu = groups[u];
     const std::uint32_t gv = groups[v];
-    const VertexId a = std::min(u, v);
-    const VertexId b = std::max(u, v);
     // The p ranks over {gu, gv, c} are pairwise distinct and already
     // ascending in c (raising one element of a multiset raises its sorted
     // vector pointwise), and rank order is seed-key order, so this demand
@@ -55,7 +53,6 @@ std::vector<Triangle> enumerate_cluster(
     for (std::uint32_t c = 0; c < p; ++c) {
       const std::uint64_t r = ranker.rank(gu, gv, c);
       const VertexId host = cluster_vertices[r % cluster_vertices.size()];
-      tuples.push_back(ProxyTuple{r, a, b});
       if (host != knower) {
         demands.push_back(
             routing::Demand{to_local.at(knower), to_local.at(host), 1});
@@ -64,11 +61,12 @@ std::vector<Triangle> enumerate_cluster(
   }
   if (!demands.empty()) router.route(demands);
 
-  // Proxy joins: one sort groups the plane; each bucket joins over its
-  // local CSR (bucket_join.hpp).  The ownership rule (report only at the
-  // proxy owning the triangle's group triple) keeps reports unique.
+  // The proxies' joins: their reports, each triangle at the one proxy
+  // owning its group triple, union to exactly E_i's triangle set, which
+  // one listing produces without materializing the p-fold bucket plane
+  // (edge_listing.hpp).
   std::vector<Triangle> out;
-  join_proxy_buckets(tuples, ranker, groups.data(), scratch.join, out);
+  list_edge_triangles(ambient, edge_ids, out);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

@@ -20,10 +20,10 @@
 /// the batch needs Õ(n^{1/3}) queries -- Theorem 2's budget).
 ///
 /// Data plane (docs/triangle.md): proxies are identified by the O(1)
-/// combinatorial rank of their sorted triple (triple_rank.hpp), the bucket
-/// store is one flat (rank, u, v) tuple vector grouped by a single sort,
-/// and each bucket joins over a bucket-local CSR with two-pointer
-/// sorted-neighbor intersection (bucket_join.hpp).  All ambient-sized
+/// combinatorial rank of their sorted triple (triple_rank.hpp), so the
+/// demand stream needs no host table.  The proxies' local joins are not
+/// materialized: their reports union to exactly E_i's triangle set, which
+/// one listing over E_i produces (edge_listing.hpp).  All ambient-sized
 /// scratch is epoch-stamped and reused across clusters and levels
 /// (TriangleScratch).  The seed's node-based plane is retained as
 /// enumerate_cluster_reference for differential tests and benches.
@@ -34,7 +34,6 @@
 #include "congest/ledger.hpp"
 #include "graph/graph.hpp"
 #include "routing/router.hpp"
-#include "triangle/bucket_join.hpp"
 #include "triangle/clique_dlp.hpp"
 #include "util/rng.hpp"
 #include "util/scratch.hpp"
@@ -51,9 +50,7 @@ struct TriangleScratch {
   /// in-cluster flag.  Callers stamp a fresh epoch and fill it with the
   /// cluster's members before enumerate_cluster.
   util::StampedMap<VertexId> to_local;
-  std::vector<ProxyTuple> tuples;  ///< the flat (rank, u, v) plane
   std::vector<routing::Demand> demands;
-  JoinScratch join;
 
   /// The calling thread's arena.  Scheduler work items are thread-disjoint
   /// (scheduler.hpp), so per-thread reuse is race-free at any thread count.

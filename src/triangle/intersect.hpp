@@ -3,10 +3,10 @@
 /// \file intersect.hpp
 /// Hybrid sorted-range intersection kernels for the triangle planes.
 ///
-/// Every consumer of adjacency intersection in the repo -- the proxy-bucket
-/// wedge join (bucket_join.hpp, serving the clustered and CONGESTED-CLIQUE
-/// planes) and the local baseline's CSR merge join (baseline_local.hpp) --
-/// funnels through this interface.  Three kernel classes cover the degree
+/// Every consumer of adjacency intersection in the repo -- the CSR merge
+/// join (baseline_local.hpp) behind the local baseline and the clustered
+/// and CONGESTED-CLIQUE planes' edge listing (edge_listing.hpp) -- funnels
+/// through this interface.  Three kernel classes cover the degree
 /// spectrum (docs/triangle.md, "Intersection kernels"):
 ///
 ///  * **scalar** -- two-pointer merge, switching to per-element binary
@@ -55,7 +55,7 @@ inline constexpr std::size_t kOutSlack = 8;
 inline constexpr std::size_t kMergeMinSize = 16;
 
 /// Consumers switch the *reused* side of an intersection (hub vertex
-/// adjacency, bucket run) to the bitmap kernel at this degree.
+/// adjacency) to the bitmap kernel at this degree.
 inline constexpr std::size_t kBitmapMinDegree = 64;
 
 /// Intersects the strictly-ascending ranges [a, a+na) and [b, b+nb),

@@ -15,9 +15,10 @@
 ///
 /// This replaces the seed's (a*p + b)*p + c hash key plus its O(p^3)
 /// unordered host table: host lookup becomes index arithmetic
-/// (cluster_vertices[rank % |V_i|]), and sorting flat (rank, u, v) tuples
-/// reproduces the seed's std::map bucket order exactly, because rank is
-/// monotone in the old key (both walk the same lexicographic order).
+/// (cluster_vertices[rank % |V_i|]), and ascending rank reproduces the
+/// seed's key order exactly -- so the per-edge target order, and with it
+/// the demand stream, is unchanged -- because rank is monotone in the old
+/// key (both walk the same lexicographic order).
 
 #include <algorithm>
 #include <cstdint>

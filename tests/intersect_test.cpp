@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "oracles/proxy_join_oracle.hpp"
 #include "triangle/baseline_local.hpp"
-#include "triangle/bucket_join.hpp"
 #include "triangle/triple_rank.hpp"
 #include "util/bitset_arena.hpp"
 #include "util/rng.hpp"
@@ -279,9 +279,9 @@ TEST(IntersectConsumers, CsrJoinMatchesReference) {
   }
 }
 
-// The kernelized proxy-bucket join against the retained probe join on
-// random tuple planes, including planes dense enough to cross the bitmap
-// threshold inside single runs.
+// The kernelized proxy-bucket join against the probe join on random tuple
+// planes (both in tests/oracles/proxy_join_oracle.hpp), including planes
+// dense enough to cross the bitmap threshold inside single runs.
 TEST(IntersectConsumers, BucketJoinMatchesProbeJoin) {
   Rng rng(13);
   for (int trial = 0; trial < 6; ++trial) {
@@ -293,7 +293,7 @@ TEST(IntersectConsumers, BucketJoinMatchesProbeJoin) {
       g = static_cast<std::uint32_t>(rng.next_below(p));
     }
     const double density = trial % 2 == 0 ? 0.2 : 0.7;
-    std::vector<ProxyTuple> tuples;
+    std::vector<oracle::ProxyTuple> tuples;
     for (VertexId u = 0; u < n; ++u) {
       for (VertexId v = u + 1; v < n; ++v) {
         if (!rng.next_bool(density)) continue;
@@ -301,17 +301,18 @@ TEST(IntersectConsumers, BucketJoinMatchesProbeJoin) {
         // exactly like the data planes do.
         for (std::uint32_t w = 0; w < p; ++w) {
           tuples.push_back(
-              ProxyTuple{ranker.rank(groups[u], groups[v], w), u, v});
+              oracle::ProxyTuple{ranker.rank(groups[u], groups[v], w), u, v});
         }
       }
     }
     auto shuffled = tuples;
-    JoinScratch js1;
-    JoinScratch js2;
+    oracle::JoinScratch js1;
+    oracle::JoinScratch js2;
     std::vector<Triangle> got;
     std::vector<Triangle> want;
-    join_proxy_buckets(tuples, ranker, groups.data(), js1, got);
-    join_proxy_buckets_probe(shuffled, ranker, groups.data(), js2, want);
+    oracle::join_proxy_buckets(tuples, ranker, groups.data(), js1, got);
+    oracle::join_proxy_buckets_probe(shuffled, ranker, groups.data(), js2,
+                                     want);
     EXPECT_EQ(got, want) << "trial " << trial;
   }
 }
