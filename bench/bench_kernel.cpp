@@ -293,6 +293,28 @@ void BM_TruncatedStepDense(benchmark::State& state) {
 }
 BENCHMARK(BM_TruncatedStepDense)->Arg(20000);
 
+// The router preprocess's τ_mix: the 400-step power iteration behind
+// mixing_time_estimate on the build-powerlaw graph shape (20000 vertices,
+// attach 10).  The call runs as the lone item of an epoch with range(1)
+// scheduler threads, so range(1) is the team width it iterates at.
+void BM_MixingEstimate(benchmark::State& state) {
+  Rng rng(2);
+  const Graph g = gen::preferential_attachment(
+      static_cast<std::size_t>(state.range(0)), 10, rng);
+  const congest::EpochScheduler pool(static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    pool.run(1, [&](std::size_t) {
+      benchmark::DoNotOptimize(spectral::mixing_time_estimate(g));
+    });
+  }
+  state.counters["width"] = static_cast<double>(state.range(1));
+}
+BENCHMARK(BM_MixingEstimate)
+    ->Args({20000, 1})
+    ->Args({20000, 2})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_BfsForest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);

@@ -179,8 +179,14 @@ if [[ ${#MISSING[@]} -gt 0 ]]; then
 fi
 
 # Delivery acceptance summary: flat engine vs seed nested path at 100k.
+# Only when this run produced BENCH_kernel.json: summarizing a stale one
+# from an earlier run would archive a trajectory point nothing measured.
 KERNEL_JSON="$OUT_DIR/BENCH_kernel.json"
-if [[ -f "$KERNEL_JSON" ]]; then
+RAN_KERNEL=0
+for name in "${NAMES[@]}"; do
+  [[ "$name" == bench_kernel ]] && RAN_KERNEL=1
+done
+if [[ $RAN_KERNEL -eq 1 && -f "$KERNEL_JSON" ]]; then
   python3 - "$KERNEL_JSON" "$OUT_DIR/BENCH_kernel_summary.json" <<'PY'
 import json, os, statistics, sys
 data = json.load(open(sys.argv[1]))
@@ -250,6 +256,17 @@ for b in rows:
 if steps:
     summary["truncated_step_ns_median"] = {
         k: statistics.median(v) for k, v in sorted(steps.items())}
+
+# The router preprocess's power iteration (BM_MixingEstimate/n/width):
+# median wall ms per width, with the min-max spread of the repetitions.
+mixing = {}
+for b in rows:
+    if b["name"].startswith("BM_MixingEstimate") and "real_time" in b:
+        mixing.setdefault(b["name"], []).append(b["real_time"])
+if mixing:
+    summary["mixing_estimate_ms"] = {
+        k: {"median": statistics.median(v), "min": min(v), "max": max(v)}
+        for k, v in sorted(mixing.items())}
 json.dump(summary, open(sys.argv[2], "w"), indent=2)
 print(json.dumps(summary, indent=2))
 PY

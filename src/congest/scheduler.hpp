@@ -19,8 +19,22 @@
 /// never change what any item computes; callers merge the per-item outputs
 /// in item-index order, so the combined result is bit-identical at any
 /// thread count.  Round accounting is covered in docs/rounds.md.
+///
+/// Item width: an epoch with fewer items than threads would leave threads
+/// idle -- a lone component (a certified expander, the one enumeration
+/// cluster of a connected graph) would run on one core.  So each item of
+/// an epoch with n < threads items gets a *width* of threads / n host
+/// threads, and every other item width 1.  run() publishes the width to
+/// the item through item_width(); the few kernels that can use it (the
+/// planned power iteration of spectral/mixing.hpp, the Nibble sweep of
+/// sparsecut/nibble.cpp) split their work across a run_team() of that many
+/// threads.  They keep every floating-point sum in its sequential
+/// order, so width, like thread count, shapes wall-clock only.  Width-1
+/// paths start no thread.
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "congest/ledger.hpp"
@@ -39,6 +53,27 @@ namespace detail {
 void set_spawn_fault_hook_for_testing(std::function<void(int)> hook);
 
 }  // namespace detail
+
+/// The barrier of a run_team() region.  When a team member fails (throws,
+/// or is never spawned), the barrier breaks: every current and later
+/// sync() throws instead of waiting for a member that will never arrive.
+class TeamBarrier {
+ public:
+  explicit TeamBarrier(int size) : size_(size) {}
+
+  /// Blocks until all `size` members have called sync() (spins briefly,
+  /// then sleeps on the generation counter).  Throws CheckError once the
+  /// barrier is broken.
+  void sync();
+  /// Breaks the barrier, waking every waiter.
+  void abort();
+
+ private:
+  int size_;
+  std::atomic<int> arrived_{0};
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<bool> broken_{false};
+};
 
 /// Runs batches ("epochs") of independent work items on a pool of host
 /// threads.  Work-sharing: workers pull the next unclaimed item index from
@@ -75,6 +110,19 @@ class EpochScheduler {
   static void run_partitioned(
       std::size_t n, int workers,
       const std::function<void(int, std::size_t, std::size_t)>& body);
+
+  /// The width the calling thread's current item may use (see the file
+  /// comment); 1 outside any epoch and inside a team member.
+  static int item_width();
+
+  /// One parallel region: body(member, barrier) for members 0..width-1,
+  /// which share `barrier`, joined before returning.  The calling thread
+  /// runs member 0 and width - 1 threads run the others, so width == 1
+  /// starts no thread.  Threads start through the same spawn path as run(),
+  /// so its fault sites and first-exception propagation cover the team; a
+  /// failing member breaks the barrier.
+  static void run_team(int width,
+                       const std::function<void(int, TeamBarrier&)>& body);
 
  private:
   int threads_ = 1;

@@ -5,7 +5,6 @@
 
 #include "graph/metrics.hpp"
 #include "spectral/fiedler.hpp"
-#include "spectral/mixing.hpp"
 #include "util/check.hpp"
 
 namespace xd::expander {
@@ -124,9 +123,10 @@ VerificationReport verify_decomposition(const Graph& g,
         q.conductance_upper = q.conductance_lower;
         q.exact = true;
       } else {
-        const double lambda2 = spectral::lazy_second_eigenvalue(live);
-        q.conductance_lower = std::max(0.0, 1.0 - lambda2);
-        const auto sweep = spectral::fiedler_sweep(live);
+        const spectral::LazySpectrum spectrum =
+            spectral::lazy_power_iteration(live);
+        q.conductance_lower = std::max(0.0, 1.0 - spectrum.lambda2());
+        const auto sweep = spectral::fiedler_sweep(live, spectrum);
         q.conductance_upper = sweep ? sweep->conductance
                                     : std::numeric_limits<double>::infinity();
         q.exact = false;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "congest/scheduler.hpp"
 #include "graph/graph_view.hpp"
 #include "spectral/lazy_walk.hpp"
 #include "util/bitset_arena.hpp"
@@ -45,9 +47,12 @@ struct SweepRecord {
 /// O(max support) records per thread).  run_nibble is not reentrant, so
 /// one instance per thread suffices.
 struct NibbleScratch {
-  util::StampedBitset touched;    ///< vertices that ever carried mass
-  util::StampedBitset in_prefix;  ///< the current sweep prefix
+  util::StampedBitset touched;  ///< vertices that ever carried mass
   std::vector<SweepRecord> records;
+  std::vector<SweepRecord> merged;  ///< sort and merge ping-pong buffer
+  /// Per sweep team member: the sweep prefix before its current position.
+  std::vector<util::StampedBitset> member_prefix;
+  std::vector<std::int64_t> cut_delta;  ///< per position: change of |∂|
   SupportSweep sweep;
   std::vector<std::size_t> candidates;
 };
@@ -57,48 +62,113 @@ NibbleScratch& nibble_scratch() {
   return scratch;
 }
 
+/// The sweep order: ρ̃ descending, ties by id ascending.  Ids are unique,
+/// so the order is strict and any correct sort or merge yields the same
+/// sequence.
+bool sweeps_before(const SweepRecord& a, const SweepRecord& b) {
+  if (a.rho != b.rho) return a.rho > b.rho;
+  return a.id < b.id;
+}
+
 /// Fills scratch.sweep with the sweep of `dist` (ρ̃ descending, ties by id
-/// ascending).
+/// ascending).  The support is split across a team as wide as the calling
+/// epoch item once it reaches kWideSweepFloor vertices (one thread below):
+///  * each member sorts one chunk of the (ρ̃, id) records and the sorted
+///    chunks are merged pairwise;
+///  * member 0 takes the prefix volumes; each member then takes a range
+///    [lo, hi) of positions of about equal volume, marks the vertices
+///    before lo in its own prefix bitset, and scans from lo to hi, adding
+///    each vertex's non-loop slots to the cut and taking back twice those
+///    that land inside the prefix;
+///  * the caller sums the per-position changes into cut.
+/// The order is strict and integer sums are exact, so the arrays are the
+/// same at every width.
 template <GraphAccess G>
 void build_sweep(const G& g, const SparseDist& dist, NibbleScratch& scratch) {
   SupportSweep& s = scratch.sweep;
-  std::vector<SweepRecord>& records = scratch.records;
   const std::size_t k = dist.size();
-  records.clear();
+  scratch.records.clear();
   for (std::size_t i = 0; i < k; ++i) {
-    records.push_back(SweepRecord{dist.mass[i] / g.degree(dist.support[i]),
-                                  dist.support[i]});
+    scratch.records.push_back(SweepRecord{
+        dist.mass[i] / g.degree(dist.support[i]), dist.support[i]});
   }
-  std::sort(records.begin(), records.end(),
-            [](const SweepRecord& a, const SweepRecord& b) {
-              if (a.rho != b.rho) return a.rho > b.rho;
-              return a.id < b.id;
-            });
-
   s.order.resize(k);
   s.rho.resize(k);
   s.vol.resize(k);
   s.cut.resize(k);
-  util::StampedBitset& in_prefix = scratch.in_prefix;
-  in_prefix.begin_epoch(g.num_vertices());
-  std::uint64_t vol = 0;
+  scratch.merged.resize(k);
+  scratch.cut_delta.resize(k);
+  const int width =
+      k >= kWideSweepFloor ? congest::EpochScheduler::item_width() : 1;
+  scratch.member_prefix.resize(
+      std::max(scratch.member_prefix.size(), static_cast<std::size_t>(width)));
+  const auto chunk = [&](int c) {
+    return k * static_cast<std::size_t>(c) / static_cast<std::size_t>(width);
+  };
+  congest::EpochScheduler::run_team(width, [&](int w,
+                                               congest::TeamBarrier& barrier) {
+    SweepRecord* src = scratch.records.data();
+    SweepRecord* dst = scratch.merged.data();
+    std::sort(src + chunk(w), src + chunk(w + 1), sweeps_before);
+    for (int span = 1; span < width; span *= 2) {
+      barrier.sync();
+      if (w % (2 * span) == 0) {
+        const std::size_t lo = chunk(w);
+        const std::size_t mid = chunk(std::min(w + span, width));
+        const std::size_t hi = chunk(std::min(w + 2 * span, width));
+        std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo,
+                   sweeps_before);
+      }
+      std::swap(src, dst);
+    }
+    barrier.sync();
+    for (std::size_t j = chunk(w); j < chunk(w + 1); ++j) {
+      s.order[j] = src[j].id;
+      s.rho[j] = src[j].rho;
+    }
+    barrier.sync();
+    if (w == 0) {
+      std::uint64_t vol = 0;
+      for (std::size_t j = 0; j < k; ++j) {
+        vol += g.degree(s.order[j]);
+        s.vol[j] = vol;
+      }
+    }
+    barrier.sync();
+    // Positions [lo, hi): the w-th width-fraction of the support volume.
+    const auto by_volume = [&](int c) {
+      if (c == 0) return std::size_t{0};
+      if (c == width) return k;
+      const std::uint64_t target = s.vol[k - 1] *
+                                   static_cast<std::uint64_t>(c) /
+                                   static_cast<std::uint64_t>(width);
+      return static_cast<std::size_t>(
+          std::upper_bound(s.vol.begin(), s.vol.end(), target) -
+          s.vol.begin());
+    };
+    const std::size_t lo = by_volume(w);
+    const std::size_t hi = by_volume(w + 1);
+    util::StampedBitset& in_prefix =
+        scratch.member_prefix[static_cast<std::size_t>(w)];
+    in_prefix.begin_epoch(g.num_vertices());
+    for (std::size_t j = 0; j < lo; ++j) in_prefix.set(s.order[j]);
+    for (std::size_t j = lo; j < hi; ++j) {
+      const VertexId v = s.order[j];
+      std::int64_t nonloop = 0;
+      std::int64_t inside = 0;
+      for (VertexId u : g.neighbors(v)) {
+        if (u == v) continue;
+        ++nonloop;
+        if (in_prefix.test(u)) ++inside;
+      }
+      scratch.cut_delta[j] = nonloop - 2 * inside;
+      in_prefix.set(v);
+    }
+  });
   std::int64_t cut = 0;
   for (std::size_t j = 0; j < k; ++j) {
-    const VertexId v = records[j].id;
-    s.order[j] = v;
-    s.rho[j] = records[j].rho;
-    vol += g.degree(v);
-    std::int64_t nonloop = 0;
-    std::int64_t inside = 0;
-    for (VertexId u : g.neighbors(v)) {
-      if (u == v) continue;
-      ++nonloop;
-      if (in_prefix.test(u)) ++inside;
-    }
-    cut += nonloop - 2 * inside;
+    cut += scratch.cut_delta[j];
     XD_CHECK(cut >= 0);
-    in_prefix.set(v);
-    s.vol[j] = vol;
     s.cut[j] = static_cast<std::uint64_t>(cut);
   }
 }

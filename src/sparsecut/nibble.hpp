@@ -26,6 +26,17 @@
 
 namespace xd::sparsecut {
 
+/// Supports of at least this many vertices are swept by a team as wide as
+/// the calling epoch item (congest/scheduler.hpp): the sort runs in
+/// parallel chunks plus a merge, and the prefix-cut scan in parallel
+/// ranges.  Smaller supports are swept on one thread.  Placed by timing
+/// every sweep of a build-powerlaw prepare_artifact at two threads with
+/// the floor at 0 and at infinity (4-vCPU guest, two runs, mean per call
+/// by support size): a team start costs about 45 us, width 2 ties width 1
+/// at 512-2047 vertices and wins from 2048 on (709-725 vs 854-1049 us at
+/// 2048-4095, 1222-1383 vs 1662-2044 us at 4096-8191).
+inline constexpr std::size_t kWideSweepFloor = 2048;
+
 /// Output of one Nibble-family run, plus the cost observables the round
 /// ledger charges from (docs/rounds.md).
 struct NibbleResult {

@@ -11,6 +11,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/vertex_set.hpp"
+#include "spectral/mixing.hpp"
 
 namespace xd::spectral {
 
@@ -24,5 +25,10 @@ struct SpectralCut {
 /// Runs power iteration + sweep.  Returns nullopt for graphs with < 2
 /// vertices or zero volume.
 std::optional<SpectralCut> fiedler_sweep(const Graph& g, int iterations = 400);
+
+/// The sweep over an iteration already run on g (lazy_power_iteration), so
+/// a caller that also needs λ₂ iterates once.
+std::optional<SpectralCut> fiedler_sweep(const Graph& g,
+                                         const LazySpectrum& spectrum);
 
 }  // namespace xd::spectral

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -14,8 +15,10 @@
 #include "congest/scheduler.hpp"
 #include "congest/shard_plane.hpp"
 #include "corpus.hpp"
+#include "graph/generators.hpp"
 #include "serve/artifact.hpp"
 #include "serve/service.hpp"
+#include "spectral/mixing.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -178,6 +181,29 @@ TEST(SchedulerFaults, InjectedStallOnlySlowsTheEpoch) {
   std::atomic<int> ran{0};
   pool.run(12, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 12);  // stragglers change wall-clock, never results
+}
+
+TEST(SchedulerFaults, TeamFaultsInsideAWideItemSurfaceOrOnlySlowIt) {
+  // A lone epoch item at two threads iterates on a team of two: a worker
+  // fault there must surface as the epoch's error, not wedge the team at
+  // its barrier, and stragglers must not change a bit of the result.
+  FaultGuard guard;
+  Rng rng(3);
+  const Graph g = gen::preferential_attachment(6000, 6, rng);
+  const double want = spectral::lazy_second_eigenvalue(g);  // width 1
+  EpochScheduler pool(2);
+  double got = 0;
+  const auto wide = [&] {
+    pool.run(1,
+             [&](std::size_t) { got = spectral::lazy_second_eigenvalue(g); });
+  };
+  FaultPlane::instance().configure("sched.throw:at=2/max=1");
+  EXPECT_THROW(wide(), CheckError);
+  FaultPlane::instance().reset();
+  FaultPlane::instance().configure("sched.stall:every=1");
+  wide();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want));
 }
 
 // -------------------------------------------------------------- chaos grid

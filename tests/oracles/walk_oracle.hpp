@@ -6,9 +6,10 @@
 /// This is the sort-based formulation the library shipped before the flat
 /// walk: one (receiver, sender, share) triple per directed support edge,
 /// comparison-sorted by (receiver, sender), then merged with the sorted
-/// support; and a Nibble loop that tracks membership in hash sets and
-/// orders the sweep by an indirect index sort.  It is deliberately the
-/// obvious version -- walk_diff_test holds spectral::truncated_step and
+/// support; the one-thread sweep over a support (the library sweeps large
+/// supports of a wide epoch item on a team); and a Nibble loop that tracks
+/// membership in hash sets.  It is deliberately the obvious version --
+/// walk_diff_test holds spectral::truncated_step and
 /// sparsecut::approximate_nibble to it bit for bit.
 
 #include <algorithm>
@@ -90,8 +91,59 @@ std::vector<SparseDist> truncated_walk_sorted(const G& g, VertexId v,
   return evolution;
 }
 
-/// ApproximateNibble (paper, Appendix A.2) over the sorted walk: hash-set
-/// membership, indirect sweep sort, fresh buffers every step.
+/// The sweep of one distribution's support, as one thread scans it: the
+/// support ordered by ρ̃ = p/deg descending with ties by id ascending, and
+/// per prefix its volume and cut.  Each vertex adds its non-loop slots to
+/// the cut and takes back twice those that land inside the prefix so far.
+struct SupportSweep {
+  std::vector<VertexId> order;
+  std::vector<double> rho;  ///< per position
+  std::vector<std::uint64_t> vol;
+  std::vector<std::uint64_t> cut;
+};
+
+template <GraphAccess G>
+SupportSweep support_sweep(const G& g, const SparseDist& dist) {
+  struct Record {
+    double rho;
+    VertexId id;
+  };
+  std::vector<Record> records;
+  for (std::size_t i = 0; i < dist.size(); ++i) {
+    records.push_back(
+        Record{dist.mass[i] / g.degree(dist.support[i]), dist.support[i]});
+  }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              if (a.rho != b.rho) return a.rho > b.rho;
+              return a.id < b.id;
+            });
+  SupportSweep s;
+  std::unordered_set<VertexId> in_prefix;
+  std::uint64_t vol = 0;
+  std::int64_t cut = 0;
+  for (const Record& r : records) {
+    s.order.push_back(r.id);
+    s.rho.push_back(r.rho);
+    vol += g.degree(r.id);
+    std::int64_t nonloop = 0;
+    std::int64_t inside = 0;
+    for (VertexId u : g.neighbors(r.id)) {
+      if (u == r.id) continue;
+      ++nonloop;
+      if (in_prefix.count(u)) ++inside;
+    }
+    cut += nonloop - 2 * inside;
+    XD_CHECK(cut >= 0);
+    in_prefix.insert(r.id);
+    s.vol.push_back(vol);
+    s.cut.push_back(static_cast<std::uint64_t>(cut));
+  }
+  return s;
+}
+
+/// ApproximateNibble (paper, Appendix A.2) over the sorted walk and the
+/// one-thread sweep: hash-set membership, fresh buffers every step.
 template <GraphAccess G>
 sparsecut::NibbleResult approximate_nibble_reference(
     const G& g, VertexId v, const sparsecut::NibbleParams& prm, int b) {
@@ -133,35 +185,10 @@ sparsecut::NibbleResult approximate_nibble_reference(
                       : 0;
     }
 
-    // Sweep: ρ̃ descending, ties by id ascending.
-    const std::size_t k = dist.size();
-    std::vector<std::size_t> idx(k);
-    std::vector<double> rho(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      idx[i] = i;
-      rho[i] = dist.mass[i] / g.degree(dist.support[i]);
-    }
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t c) {
-      if (rho[a] != rho[c]) return rho[a] > rho[c];
-      return dist.support[a] < dist.support[c];
-    });
-    std::vector<VertexId> order(k);
-    std::vector<std::uint64_t> vol(k);
-    std::vector<std::uint64_t> cut(k);
-    std::unordered_set<VertexId> in_prefix;
-    std::uint64_t vsum = 0;
-    std::int64_t csum = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const VertexId x = dist.support[idx[j]];
-      order[j] = x;
-      vsum += g.degree(x);
-      for (VertexId u : g.neighbors(x)) {
-        if (u != x) csum += in_prefix.count(u) ? -1 : 1;
-      }
-      in_prefix.insert(x);
-      vol[j] = vsum;
-      cut[j] = static_cast<std::uint64_t>(csum);
-    }
+    const SupportSweep sweep = support_sweep(g, dist);
+    const std::size_t k = sweep.order.size();
+    const std::vector<std::uint64_t>& vol = sweep.vol;
+    const std::vector<std::uint64_t>& cut = sweep.cut;
     const auto conductance = [&](std::size_t j) {
       const std::uint64_t denom =
           std::min(vol[j - 1], total_volume - vol[j - 1]);
@@ -190,14 +217,15 @@ sparsecut::NibbleResult approximate_nibble_reference(
       const double vx = static_cast<double>(vol[jx - 1]);
       const bool c1 =
           conductance(jx) <= (boundary ? 1.0 : prm.star_relax) * prm.phi;
-      const bool c2 = rho[idx[(boundary ? jx : jprev) - 1]] >= prm.gamma / vx;
+      const bool c2 = sweep.rho[(boundary ? jx : jprev) - 1] >= prm.gamma / vx;
       const bool c3 =
           vx <= (boundary ? 5.0 / 6.0 : 11.0 / 12.0) *
                     static_cast<double>(total_volume) &&
           vx >= (5.0 / 7.0) * std::ldexp(1.0, b - 1);
       if (c1 && c2 && c3) {
         result.cut = VertexSet(std::vector<VertexId>(
-            order.begin(), order.begin() + static_cast<std::ptrdiff_t>(jx)));
+            sweep.order.begin(),
+            sweep.order.begin() + static_cast<std::ptrdiff_t>(jx)));
         result.t_used = t;
         result.j_used = jx;
         result.cut_conductance = conductance(jx);

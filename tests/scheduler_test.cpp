@@ -16,8 +16,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "congest/scheduler.hpp"
 #include "core/xd.hpp"
@@ -286,6 +290,125 @@ TEST(EpochScheduler, PartialSpawnFailureJoinsAlreadySpawnedWorkers) {
   // Workers 0 and 1 were spawned before the fault and joined before the
   // rethrow: their bodies ran to completion and their effects are visible.
   EXPECT_EQ(completed.load(), 2);
+}
+
+TEST(EpochScheduler, ItemWidthSharesTheIdleThreads) {
+  EXPECT_EQ(congest::EpochScheduler::item_width(), 1);  // outside any epoch
+  const auto widths = [](int threads, std::size_t items) {
+    std::vector<int> out(items);
+    congest::EpochScheduler(threads).run(items, [&](std::size_t i) {
+      out[i] = congest::EpochScheduler::item_width();
+    });
+    return out;
+  };
+  EXPECT_EQ(widths(4, 1), std::vector<int>({4}));
+  EXPECT_EQ(widths(4, 2), std::vector<int>({2, 2}));
+  EXPECT_EQ(widths(4, 3), std::vector<int>({1, 1, 1}));
+  EXPECT_EQ(widths(2, 5), std::vector<int>(5, 1));
+  EXPECT_EQ(widths(1, 1), std::vector<int>({1}));
+  EXPECT_EQ(congest::EpochScheduler::item_width(), 1);  // restored
+  // Team members are not epoch items: they run at width 1, also when the
+  // team is started from inside a wide item (member 0 is the item's own
+  // thread).
+  std::vector<int> member_width(3, 0);
+  congest::EpochScheduler::run_team(3, [&](int w, congest::TeamBarrier&) {
+    member_width[static_cast<std::size_t>(w)] =
+        congest::EpochScheduler::item_width();
+  });
+  EXPECT_EQ(member_width, std::vector<int>(3, 1));
+  std::vector<int> nested_width(3, 0);
+  congest::EpochScheduler(3).run(1, [&](std::size_t) {
+    congest::EpochScheduler::run_team(
+        congest::EpochScheduler::item_width(),
+        [&](int w, congest::TeamBarrier&) {
+          nested_width[static_cast<std::size_t>(w)] =
+              congest::EpochScheduler::item_width();
+        });
+    EXPECT_EQ(congest::EpochScheduler::item_width(), 3);  // restored
+  });
+  EXPECT_EQ(nested_width, std::vector<int>(3, 1));
+}
+
+TEST(EpochScheduler, TeamBarrierSeparatesPhases) {
+  // Each member writes its slot, syncs, then reads every slot: a missing
+  // barrier would let a member read a slot before its owner wrote it.
+  for (const int width : {1, 2, 4}) {
+    std::vector<int> slot(static_cast<std::size_t>(width), 0);
+    std::vector<int> seen(static_cast<std::size_t>(width), 0);
+    congest::EpochScheduler::run_team(
+        width, [&](int w, congest::TeamBarrier& barrier) {
+          for (int round = 1; round <= 50; ++round) {
+            slot[static_cast<std::size_t>(w)] = round;
+            barrier.sync();
+            int sum = 0;
+            for (const int x : slot) sum += x;
+            seen[static_cast<std::size_t>(w)] += sum == round * width;
+            barrier.sync();
+          }
+        });
+    EXPECT_EQ(seen, std::vector<int>(static_cast<std::size_t>(width), 50))
+        << "width " << width;
+  }
+}
+
+TEST(EpochScheduler, FailingTeamMemberBreaksTheBarrier) {
+  // Member 1 throws before its first sync; the others must not wait for
+  // it forever, and the member's own error is the one that surfaces.
+  std::atomic<int> reached_end{0};
+  EXPECT_THROW(congest::EpochScheduler::run_team(
+                   4,
+                   [&](int w, congest::TeamBarrier& barrier) {
+                     if (w == 1) throw std::runtime_error("member failure");
+                     barrier.sync();
+                     reached_end.fetch_add(1);
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(reached_end.load(), 0);
+}
+
+TEST(EpochScheduler, TeamSpawnFailureJoinsWaitingMembers) {
+  // Member 1 starts and waits at the barrier for members that are never
+  // spawned; the spawn error must wake and join it, and member 0 (the
+  // calling thread) must not run at all.
+  struct SpawnFault : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  congest::detail::set_spawn_fault_hook_for_testing([](int w) {
+    if (w == 2) throw SpawnFault("thread construction failed");
+  });
+  std::atomic<bool> member0_ran{false};
+  EXPECT_THROW(congest::EpochScheduler::run_team(
+                   4,
+                   [&](int w, congest::TeamBarrier& barrier) {
+                     if (w == 0) member0_ran = true;
+                     barrier.sync();
+                   }),
+               SpawnFault);
+  congest::detail::set_spawn_fault_hook_for_testing({});
+  EXPECT_FALSE(member0_ran.load());
+}
+
+TEST(EpochScheduler, TeamCallerIsMemberZero) {
+  // A team of width w starts w - 1 threads; the caller runs member 0.
+  for (const int width : {2, 3, 4}) {
+    std::vector<int> spawned;
+    std::mutex mu;
+    congest::detail::set_spawn_fault_hook_for_testing([&](int w) {
+      const std::lock_guard<std::mutex> lock(mu);
+      spawned.push_back(w);
+    });
+    std::thread::id member0;
+    congest::EpochScheduler::run_team(
+        width, [&](int w, congest::TeamBarrier& barrier) {
+          if (w == 0) member0 = std::this_thread::get_id();
+          barrier.sync();
+        });
+    congest::detail::set_spawn_fault_hook_for_testing({});
+    std::vector<int> want(static_cast<std::size_t>(width - 1));
+    std::iota(want.begin(), want.end(), 1);
+    EXPECT_EQ(spawned, want) << "width " << width;
+    EXPECT_EQ(member0, std::this_thread::get_id()) << "width " << width;
+  }
 }
 
 }  // namespace

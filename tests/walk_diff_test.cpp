@@ -4,11 +4,13 @@
 // GraphViews with removed-edge masks, across graphs of different sizes on
 // one thread (a stale accumulator stamp would surface as wrong output),
 // and inside the EpochScheduler at 1, 2 and 8 threads.  ApproximateNibble
-// is held to the oracle the same way.
+// is held to the oracle the same way, including a lone epoch item whose
+// large supports are swept by a team of threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -268,6 +270,36 @@ TEST(WalkDiff, ApproximateNibbleUnderSchedulerThreads) {
     });
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_TRUE(same_nibble(got[i], want[i])) << "start " << i * 7;
+    }
+  }
+
+  // A lone item is as wide as the pool, so supports of kWideSweepFloor
+  // vertices or more are swept by a team.  The spawn hook counts the team
+  // threads: none at one scheduler thread, some at two to four (three
+  // members merge an odd number of sorted chunks).
+  Rng pl_rng(17);
+  const Graph pl = gen::preferential_attachment(8000, 6, pl_rng);
+  const auto pl_prm =
+      sparsecut::NibbleParams::practical(0.1, pl.num_edges(), pl.volume());
+  const int scale = pl_prm.ell;
+  const auto pl_want =
+      oracle::approximate_nibble_reference(pl, 0, pl_prm, scale);
+  ASSERT_GE(pl_want.touched.size(), sparsecut::kWideSweepFloor);
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("lone item, threads " + std::to_string(threads));
+    sparsecut::NibbleResult got;
+    std::atomic<int> spawned{0};
+    congest::detail::set_spawn_fault_hook_for_testing(
+        [&](int) { spawned.fetch_add(1); });
+    congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+      got = sparsecut::approximate_nibble(pl, 0, pl_prm, scale);
+    });
+    congest::detail::set_spawn_fault_hook_for_testing({});
+    EXPECT_TRUE(same_nibble(got, pl_want));
+    if (threads == 1) {
+      EXPECT_EQ(spawned.load(), 0);
+    } else {
+      EXPECT_GT(spawned.load(), 0) << "no support reached the wide sweep";
     }
   }
 }
